@@ -4,8 +4,8 @@
  * expected latency percentiles (JSON under tests/golden/). Every
  * scenario follows a figure-reproduction path — the single-machine
  * fig11 operating points, the fig13 fleet day, the
- * cluster_routing_sweep policies, and the sharded fan-out/join paths
- * — so an engine refactor that shifts numbers fails loudly here
+ * cluster_routing_sweep policies, the sharded fan-out/join paths, and
+ * the elastic tier's day — so an engine refactor that shifts numbers fails loudly here
  * instead of silently redrawing figures.
  *
  * When a shift is *intended* (a modeling change), regenerate with:
@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 
+#include "cluster/autoscaler.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/fleet.hh"
 #include "cluster/model_mix.hh"
@@ -588,6 +589,137 @@ TEST(Golden, ColocationInterferencePaths)
               measured["wnd_alone"]["p99_ms"])
         << "colocation improved WnD's p99 — interference not biting";
     checkGolden("colocation_sweep.json", measured);
+}
+
+/** A 6-machine Skylake tier of @p model at batch 256. */
+std::vector<SimConfig>
+elasticMachines(ModelId model, uint64_t memory_bytes)
+{
+    const ModelProfile profile = ModelProfile::forModel(model);
+    SchedulerPolicy policy;
+    policy.perRequestBatch = 256;
+    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
+                      std::nullopt, policy, 0.05, 1.0};
+    machine.memoryBytes = memory_bytes;
+    return std::vector<SimConfig>(6, machine);
+}
+
+/** The pinned books of one elastic run. */
+GoldenRow
+elasticRow(const AutoscaleResult& r)
+{
+    GoldenRow row = percentilesOf(r.fleetLatencySeconds);
+    double busy = 0.0;
+    for (const MachineStats& m : r.perMachine)
+        busy += m.busyCoreSeconds;
+    row["busy_core_s"] = busy;
+    row["dropped"] = static_cast<double>(r.overload.dropped);
+    row["failovers"] = static_cast<double>(r.faults.failovers);
+    row["latency_sum_s"] = r.fleetLatencySeconds.sum();
+    row["lost"] = static_cast<double>(r.faults.lost);
+    row["machine_s"] = r.machineSeconds;
+    row["max_serving"] = static_cast<double>(r.maxServingMachines);
+    row["min_serving"] = static_cast<double>(r.minServingMachines);
+    row["scale_events"] = static_cast<double>(r.scaleEvents.size());
+    row["sla_violation_s"] = r.slaViolationSeconds;
+    return row;
+}
+
+TEST(Golden, ElasticDayPaths)
+{
+    // The elastic tier's three regimes: a reactive chaos day (deadline
+    // admission, crashes, gray failures, failover), a static partial
+    // tier on a sharded two-stage tier (drains and refused drains),
+    // and a predictive day — pins the machine lifecycle, the control
+    // loop, and the power books alongside the traffic path.
+    GoldenMap measured;
+    const DiurnalProfile profile(2.0, 6.0);
+    const auto day_trace = [&](AutoscaleSpec& spec, double peak_qps) {
+        spec.profile = profile;
+        spec.meanQps = peak_qps / (1.0 + profile.swingAmplitude());
+        spec.machinesAtPeak = spec.cluster.machines.size();
+        LoadSpec load;
+        load.qps = spec.meanQps;
+        load.arrivalSeed = 0xe1a5;
+        load.sizeSeed = 0xe1a6;
+        TraceTemplate tmpl(load);
+        const size_t count =
+            static_cast<size_t>(spec.meanQps * profile.periodSeconds());
+        tmpl.ensure(count);
+        return tmpl.materializeDiurnal(spec.meanQps, profile, count);
+    };
+
+    {
+        AutoscaleSpec spec;
+        spec.cluster.machines = elasticMachines(ModelId::DlrmRmc1, 0);
+        spec.cluster.overload.admission = AdmissionKind::Deadline;
+        spec.cluster.overload.deadlineSeconds = 0.1;
+        spec.cluster.faults.crashesPerHour = 300.0;
+        spec.cluster.faults.repairSeconds = 1.0;
+        spec.cluster.faults.grayPerHour = 300.0;
+        spec.cluster.faults.maxFailovers = 2;
+        spec.routing.kind = RoutingKind::PowerOfTwoChoices;
+        spec.controlIntervalSeconds = 0.5;
+        spec.warmupDelaySeconds = 0.25;
+        const QueryTrace trace = day_trace(spec, 7000.0);
+        ScalingPolicySpec policy;
+        policy.kind = ScalingPolicyKind::Reactive;
+        policy.minMachines = 2;
+        const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
+        EXPECT_GT(r.faults.crashes, 0u);
+        EXPECT_GT(r.faults.failovers, 0u);
+        EXPECT_GT(r.scaleEvents.size(), 0u);
+        measured["reactive_chaos"] = elasticRow(r);
+    }
+    {
+        const std::vector<EmbeddingTableInfo> tables =
+            embeddingTables(modelConfig(ModelId::DlrmRmc2));
+        AutoscaleSpec spec;
+        spec.cluster.machines =
+            elasticMachines(ModelId::DlrmRmc2, 4'000'000'000ULL);
+        spec.cluster.network.hopSeconds = 150e-6;
+        spec.cluster.network.gigabytesPerSecond = 12.5;
+        PlacementSpec placement_spec;
+        placement_spec.strategy = PlacementStrategy::GreedyBySize;
+        placement_spec.minReplicas = 2;
+        const ShardPlacement placement = ShardPlacement::build(
+            tables, machineMemoryBudgets(spec.cluster.machines),
+            placement_spec);
+        ASSERT_TRUE(placement.feasible());
+        TableSetSpec table_set;
+        table_set.numTables = static_cast<uint32_t>(tables.size());
+        table_set.tablesPerQuery = 8;
+        spec.cluster.sharding = ShardingConfig{placement, table_set};
+        spec.routing.kind = RoutingKind::ShardAware;
+        spec.controlIntervalSeconds = 0.5;
+        spec.warmupDelaySeconds = 0.25;
+        const QueryTrace trace = makeTrace(6000, 1200.0, 0x5ba7);
+        ScalingPolicySpec policy;
+        policy.kind = ScalingPolicyKind::Static;
+        policy.staticMachines = 2;
+        const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
+        bool refused = false;
+        for (const ScaleEvent& ev : r.scaleEvents)
+            refused = refused || ev.granted > ev.target;
+        EXPECT_TRUE(refused) << "no drain was refused";
+        EXPECT_LT(r.minServingMachines, 6u) << "no drain was granted";
+        measured["static_partial_sharded"] = elasticRow(r);
+    }
+    {
+        AutoscaleSpec spec;
+        spec.cluster.machines = elasticMachines(ModelId::DlrmRmc1, 0);
+        spec.cluster.network.hopSeconds = 100e-6;
+        spec.routing.kind = RoutingKind::JoinShortestQueue;
+        spec.controlIntervalSeconds = 0.5;
+        spec.warmupDelaySeconds = 0.25;
+        const QueryTrace trace = day_trace(spec, 9000.0);
+        ScalingPolicySpec policy;
+        policy.kind = ScalingPolicyKind::Predictive;
+        const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
+        EXPECT_GT(r.scaleEvents.size(), 0u);
+        measured["predictive_day"] = elasticRow(r);
+    }
+    checkGolden("elastic_day.json", measured);
 }
 
 } // namespace
