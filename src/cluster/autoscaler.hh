@@ -9,12 +9,13 @@
  * provisioning cycle both DeepRecSys's tail-latency study (its
  * Figure 13 runs over a day-long load swing) and the capacity-driven
  * scale-out work (Lui et al.) describe. This header models that
- * control loop: an Autoscaler drives the elastic variant of the
- * cluster simulation over a DiurnalProfile-modulated arrival stream
- * and adjusts the live machine count at a fixed control interval from
- * observed windowed signals, reporting the machine-hours saved
- * against the static peak plan and the minutes spent violating the
- * SLA.
+ * control loop: an Autoscaler runs ClusterSimulator's driver core
+ * with a machine-lifecycle layer over a DiurnalProfile-modulated
+ * arrival stream and adjusts the live machine count at a fixed
+ * control interval from observed windowed signals, reporting the
+ * machine-hours saved against the static peak plan and the minutes
+ * spent violating the SLA. The driver core and the lifecycle layer
+ * live in cluster_sim.cc; autoscaler.cc holds the scaling policies.
  *
  * Mechanics. The full tier (`AutoscaleSpec::cluster`, the static
  * plan) is the maximum fleet; each machine is in one of four states:
@@ -38,8 +39,8 @@
  * the scaling policy replaces the capacity through the normal
  * Off → WarmingUp → Accepting lifecycle. Killed queries fail over
  * (re-present to the router) up to FaultPlan::maxFailovers times.
- * Hedged requests are a static-tier feature; the elastic driver
- * refuses a HedgeConfig.
+ * Hedged requests (ClusterConfig::hedge) work as on a static tier:
+ * a hedge twin only ever lands on an accepting replica.
  *
  * Scale decisions come from a pluggable ScalingPolicy evaluated at
  * every control tick against windowed signals (tail latency of the
@@ -311,31 +312,11 @@ struct AutoscaleWindow
 };
 
 /** Outcome of one elastic cluster run. */
-struct AutoscaleResult
+struct AutoscaleResult : TierBooks
 {
-    SampleStats fleetLatencySeconds;   ///< measured queries
-    std::vector<MachineStats> perMachine;
-
     /** Powered (billed) seconds per machine: on through drained. */
     std::vector<double> poweredSecondsPerMachine;
 
-    uint64_t numQueries = 0;       ///< measured completions
-    uint64_t numDispatched = 0;    ///< all routed queries
-    uint64_t numCompleted = 0;     ///< all completed queries
-    uint64_t numParts = 0;         ///< machine-parts dispatched
-
-    /** Drop/degrade/goodput accounting (cluster/admission.hh). Count
-     *  fields always reconcile with the fault books under the
-     *  three-way algebra: offered == completed + droppedFinal + lost
-     *  (assertFaultConservation in cluster/fault_plan.hh). */
-    OverloadStats overload;
-
-    /** Crash/failover accounting (cluster/fault_plan.hh); all zero
-     *  when the run carries no FaultPlan. The elastic tier never
-     *  hedges, so every hedge counter stays zero. */
-    FaultStats faults;
-
-    double offeredQps = 0;
     double spanSeconds = 0;        ///< first arrival .. last event
 
     /** Billed machine time: the elastic tier's actual burn. */
@@ -379,21 +360,12 @@ struct AutoscaleResult
 
     /** Minutes of control windows whose tail exceeded the SLA. */
     double slaViolationMinutes() const { return slaViolationSeconds / 60.0; }
-
-    /** Whole-run fleet tail latency in milliseconds. */
-    double
-    tailMs(double pct) const
-    {
-        return fleetLatencySeconds.percentile(pct) * 1e3;
-    }
-
-    /** Whole-run fleet p99 in milliseconds. */
-    double p99Ms() const { return tailMs(99); }
 };
 
 /**
- * The elastic cluster driver: ClusterSimulator's routing/fan-out/join
- * mechanics with a machine set that changes while the trace runs.
+ * The elastic cluster driver: ClusterSimulator's driver core plus a
+ * machine-lifecycle layer, so the machine set changes while the trace
+ * runs.
  */
 class Autoscaler
 {

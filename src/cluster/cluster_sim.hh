@@ -13,10 +13,15 @@
  * and 13 study, with the router made explicit.
  *
  * Machine mechanics (queues, batch splitting, offload, utilization
- * integrals) come from the shared MachineEngine; this file is the
- * multi-machine *driver*: routing, fan-out/join, and network hops.
- * With one machine, no sharding, and a zero NetworkConfig it is
- * bit-identical to ServingSimulator (tests/test_engine_diff.cc).
+ * integrals) come from the shared MachineEngine. cluster_sim.cc holds
+ * the one cluster *driver* core: routing, fan-out/join, network hops,
+ * overload control, faults and hedging. ClusterSimulator runs that
+ * core with no machine lifecycle — every machine accepts from the
+ * first arrival and leaves the routing set only while crashed — and
+ * the elastic Autoscaler (cluster/autoscaler.hh) runs the same core
+ * with a machine-lifecycle layer. With one machine, no sharding, and
+ * a zero NetworkConfig it is bit-identical to ServingSimulator
+ * (tests/test_engine_diff.cc).
  *
  * When the cluster carries a ShardingConfig, a shard-aware policy may
  * fan a query out into parts, one per machine of a replica cover of
@@ -103,7 +108,8 @@ struct ClusterConfig
     /**
      * Tail-at-scale hedged requests for fanned-out dispatches
      * (cluster/fault_plan.hh). Requires a sharded tier; only fan-out
-     * embedding parts are hedged. Disabled by default.
+     * embedding parts are hedged, onto accepting replicas. Disabled
+     * by default.
      */
     HedgeConfig hedge;
 
@@ -135,7 +141,7 @@ struct MachineStats
     uint64_t embBytesStored = 0;       ///< resident embedding shards
     double busyCoreSeconds = 0;
     double gpuBusySeconds = 0;
-    double cpuUtilization = 0;         ///< over the cluster event span
+    double cpuUtilization = 0;         ///< over the machine's up time
     double gpuUtilization = 0;
     SampleStats latencySeconds;        ///< measured queries only
 };
@@ -171,12 +177,57 @@ struct ModelStats
     }
 };
 
-/** Aggregate outcome of one cluster run. */
-struct ClusterResult
+/**
+ * The books every cluster run keeps, static or elastic: latencies,
+ * per-machine and per-model statistics, the overload and fault books,
+ * and the dispatch counts. ClusterResult and AutoscaleResult extend
+ * it; the one driver core (cluster_sim.cc) fills it.
+ */
+struct TierBooks
 {
     SampleStats fleetLatencySeconds;   ///< measured queries, all machines
     std::vector<MachineStats> perMachine;
 
+    uint64_t numQueries = 0;           ///< measured completions
+    uint64_t numDispatched = 0;        ///< all routed queries
+    uint64_t numCompleted = 0;         ///< all completed queries
+    uint64_t numParts = 0;             ///< machine-parts dispatched
+    double offeredQps = 0;             ///< from the global trace
+
+    /** Drop/degrade/goodput accounting (cluster/admission.hh). Count
+     *  fields always reconcile with the fault books under the
+     *  three-way algebra: offered == completed + droppedFinal + lost
+     *  (assertFaultConservation in cluster/fault_plan.hh). */
+    OverloadStats overload;
+
+    /** Crash/failover/hedge accounting (cluster/fault_plan.hh); all
+     *  zero when the run carries no FaultPlan and no HedgeConfig. */
+    FaultStats faults;
+
+    /** Per-mix-model books (one entry per ClusterConfig::modelMix
+     *  entry; empty on single-model runs). */
+    std::vector<ModelStats> perModel;
+
+    /** Fleet-wide p95 latency in milliseconds. */
+    double p95Ms() const { return tailMs(95); }
+
+    /** Fleet-wide p99 latency in milliseconds. */
+    double p99Ms() const { return tailMs(99); }
+
+    /** Fleet-wide mean latency in milliseconds. */
+    double meanMs() const { return fleetLatencySeconds.mean() * 1e3; }
+
+    /** Fleet-wide tail latency at a percentile, in milliseconds. */
+    double
+    tailMs(double pct) const
+    {
+        return fleetLatencySeconds.percentile(pct) * 1e3;
+    }
+};
+
+/** Aggregate outcome of one cluster run. */
+struct ClusterResult : TierBooks
+{
     /** Leader machine per trace index (for conservation checks);
      *  queries shed at the router carry the droppedMachine sentinel
      *  and queries destroyed by a failure carry lostMachine. */
@@ -194,55 +245,11 @@ struct ClusterResult
      */
     std::vector<std::vector<uint32_t>> partMachinesOfQuery;
 
-    uint64_t numQueries = 0;           ///< measured completions
-    uint64_t numDispatched = 0;        ///< all routed queries
-    uint64_t numCompleted = 0;         ///< all completed queries
-    uint64_t numParts = 0;             ///< machine-parts dispatched
-
     /** Mean machines touched per query (1.0 without sharding). */
     double meanFanout = 0;
-    double offeredQps = 0;             ///< from the global trace
     double achievedQps = 0;            ///< measured completions / span
     double spanSeconds = 0;            ///< measured arrival..completion
     double meanCpuUtilization = 0;     ///< average across machines
-
-    /** Drop/degrade/goodput accounting (cluster/admission.hh). Count
-     *  fields always reconcile with the fault books under the
-     *  three-way algebra: offered == completed + droppedFinal + lost
-     *  (assertFaultConservation in cluster/fault_plan.hh). */
-    OverloadStats overload;
-
-    /** Crash/failover/hedge accounting (cluster/fault_plan.hh); all
-     *  zero when the run carries no FaultPlan and no HedgeConfig. */
-    FaultStats faults;
-
-    /** Per-mix-model books (one entry per ClusterConfig::modelMix
-     *  entry; empty on single-model runs). */
-    std::vector<ModelStats> perModel;
-
-    /** Fleet-wide p95 latency in milliseconds. */
-    double
-    p95Ms() const
-    {
-        return fleetLatencySeconds.percentile(95) * 1e3;
-    }
-
-    /** Fleet-wide p99 latency in milliseconds. */
-    double
-    p99Ms() const
-    {
-        return fleetLatencySeconds.percentile(99) * 1e3;
-    }
-
-    /** Fleet-wide mean latency in milliseconds. */
-    double meanMs() const { return fleetLatencySeconds.mean() * 1e3; }
-
-    /** Fleet-wide tail latency at a percentile, in milliseconds. */
-    double
-    tailMs(double pct) const
-    {
-        return fleetLatencySeconds.percentile(pct) * 1e3;
-    }
 };
 
 /**

@@ -14,7 +14,8 @@
  *    queue-cost books tile the machine total exactly;
  *  - per-model conservation holds under overload (offered ==
  *    completed + droppedFinal + lost per ModelId) and the per-model
- *    books sum exactly to the fleet totals;
+ *    books sum exactly to the fleet totals, on static and elastic
+ *    tiers alike;
  *  - a model's tail latency is monotone in its own offered fraction
  *    when it is the heavier co-tenant;
  *  - model-aware routing decisions are bitwise identical at 1 and
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "base/thread_pool.hh"
+#include "cluster/autoscaler.hh"
 #include "cluster/cluster_qps_search.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/model_mix.hh"
@@ -224,7 +226,8 @@ TEST(Colocation, PerModelConservationUnderOverload)
     // Deep overload with load shedding: every model's books must
     // close (offered == completed + droppedFinal + lost) and the
     // per-model books must sum exactly to the fleet totals — no query
-    // double-counted, none unattributed, drops included.
+    // double-counted, none unattributed, drops included. The static
+    // and the elastic tier keep the same books.
     const std::vector<ModelMixEntry> mix = {
         mixEntry(ModelId::DlrmRmc2, 0.4, 256),
         mixEntry(ModelId::WideAndDeep, 0.4, 256),
@@ -242,39 +245,50 @@ TEST(Colocation, PerModelConservationUnderOverload)
     MixedTraceTemplate mixed(mixLoad(), mixFractions(mix));
     mixed.ensure(4000);
     const QueryTrace trace = mixed.materialize(4000.0, 4000);
+    const RoutingSpec routing{RoutingKind::PowerOfTwoChoices};
 
-    const ClusterResult r = ClusterSimulator(cluster).run(
-        trace, RoutingSpec{RoutingKind::PowerOfTwoChoices});
+    AutoscaleSpec elastic;
+    elastic.cluster = cluster;
+    elastic.routing = routing;
+    elastic.controlIntervalSeconds = 0.25;
+    elastic.warmupDelaySeconds = 0.1;
+    ScalingPolicySpec scaling;
+    scaling.kind = ScalingPolicyKind::Reactive;
 
-    ASSERT_EQ(r.perModel.size(), mix.size());
-    EXPECT_GT(r.overload.droppedFinal, 0u)
-        << "overload scenario is not biting — nothing was shed";
+    const auto check = [&](const TierBooks& r, const char* tier) {
+        SCOPED_TRACE(tier);
+        ASSERT_EQ(r.perModel.size(), mix.size());
+        EXPECT_GT(r.overload.droppedFinal, 0u)
+            << "overload scenario is not biting — nothing was shed";
 
-    uint64_t sum_offered = 0;
-    uint64_t sum_dispatched = 0;
-    uint64_t sum_completed = 0;
-    uint64_t sum_dropped = 0;
-    uint64_t sum_lost = 0;
-    size_t sum_measured = 0;
-    for (uint32_t k = 0; k < mix.size(); k++) {
-        const ModelStats& ms = r.perModel[k];
-        SCOPED_TRACE(modelName(mix[k].id));
-        EXPECT_GT(ms.offered, 0u);
-        EXPECT_EQ(ms.offered, ms.completed + ms.droppedFinal + ms.lost);
-        sum_offered += ms.offered;
-        sum_dispatched += ms.dispatched;
-        sum_completed += ms.completed;
-        sum_dropped += ms.droppedFinal;
-        sum_lost += ms.lost;
-        sum_measured += ms.latencySeconds.count();
-    }
-    EXPECT_EQ(sum_offered, trace.size());
-    EXPECT_EQ(sum_offered, r.overload.offered);
-    EXPECT_EQ(sum_dispatched, r.numDispatched);
-    EXPECT_EQ(sum_completed, r.numCompleted);
-    EXPECT_EQ(sum_dropped, r.overload.droppedFinal);
-    EXPECT_EQ(sum_lost, 0u);
-    EXPECT_EQ(sum_measured, r.fleetLatencySeconds.count());
+        uint64_t sum_offered = 0;
+        uint64_t sum_dispatched = 0;
+        uint64_t sum_completed = 0;
+        uint64_t sum_dropped = 0;
+        uint64_t sum_lost = 0;
+        size_t sum_measured = 0;
+        for (uint32_t k = 0; k < mix.size(); k++) {
+            const ModelStats& ms = r.perModel[k];
+            SCOPED_TRACE(modelName(mix[k].id));
+            EXPECT_GT(ms.offered, 0u);
+            EXPECT_EQ(ms.offered, ms.completed + ms.droppedFinal + ms.lost);
+            sum_offered += ms.offered;
+            sum_dispatched += ms.dispatched;
+            sum_completed += ms.completed;
+            sum_dropped += ms.droppedFinal;
+            sum_lost += ms.lost;
+            sum_measured += ms.latencySeconds.count();
+        }
+        EXPECT_EQ(sum_offered, trace.size());
+        EXPECT_EQ(sum_offered, r.overload.offered);
+        EXPECT_EQ(sum_dispatched, r.numDispatched);
+        EXPECT_EQ(sum_completed, r.numCompleted);
+        EXPECT_EQ(sum_dropped, r.overload.droppedFinal);
+        EXPECT_EQ(sum_lost, 0u);
+        EXPECT_EQ(sum_measured, r.fleetLatencySeconds.count());
+    };
+    check(ClusterSimulator(cluster).run(trace, routing), "static tier");
+    check(Autoscaler(elastic).run(trace, scaling), "elastic tier");
 }
 
 // --------------------------------------------------- tail monotonicity

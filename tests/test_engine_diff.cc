@@ -507,8 +507,8 @@ TEST(EngineDiff, OneModelMixIsBitwiseInvisibleOverloaded)
 TEST(EngineDiff, OneModelMixIsBitwiseInvisibleAutoscaled)
 {
     // Elastic tier: the mix must not move a completion, window
-    // boundary, or scale decision — ElasticView's per-model signals
-    // fall back to the fleet totals at one model.
+    // boundary, or scale decision — the per-model signals equal the
+    // fleet totals at one model.
     const QueryTrace trace = poissonTrace(3000, 6000.0);
     AutoscaleSpec spec;
     for (size_t m = 0; m < 4; m++)

@@ -222,19 +222,6 @@ TEST(FaultPlanDeath, HedgeNeedsShardedTier)
     EXPECT_DEATH(ClusterSimulator{cfg}, "sharded tier");
 }
 
-TEST(FaultPlanDeath, ElasticDriverRefusesHedging)
-{
-    AutoscaleSpec spec;
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 256;
-    spec.cluster.machines.push_back(
-        SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                  std::nullopt, policy, 0.05, 1.0});
-    spec.cluster.hedge.delaySeconds = 0.01;
-    EXPECT_DEATH(Autoscaler{spec}, "does not hedge");
-}
-
 // ------------------------------------------------------ conservation
 
 TEST(FaultConservation, ThreeWayAlgebraExactUnderChaos)
@@ -551,6 +538,87 @@ TEST(ChaosParallelDiff, ChaosSweepBitwiseEqualAcrossThreadCounts)
         EXPECT_DOUBLE_EQ(a.fleetLatencySeconds.sum(),
                          b.fleetLatencySeconds.sum());
         EXPECT_DOUBLE_EQ(a.p99Ms(), b.p99Ms());
+    }
+}
+
+
+// ------------------------------------------- hedging on an elastic tier
+
+TEST(HedgeProperties, ElasticChaosDayHedgesOnlyOntoAcceptingMachines)
+{
+    // A sharded elastic chaos day with hedging on. Seven of eight
+    // machines accept from t0 (two replicas per table, so they cover
+    // every table) and the static target holds seven; a crash pulls
+    // machine 7 in, but its warm-up outlasts the day, so it is never
+    // accepting. A hedge landing there would show up in its books.
+    constexpr size_t kAccepting = 7;
+    const auto run_day = [](double hedge_delay) {
+        AutoscaleSpec spec;
+        spec.cluster = chaosTier(2);
+        spec.cluster.faults = hotPlan();
+        spec.cluster.faults.faultTolerance = 2;
+        spec.cluster.faults.maxFailovers = 4;
+        spec.cluster.hedge.delaySeconds = hedge_delay;
+        spec.routing.kind = RoutingKind::ShardAware;
+        spec.controlIntervalSeconds = 0.5;
+        spec.warmupDelaySeconds = 60.0;
+        spec.initialMachines = kAccepting;
+        LoadSpec load;
+        load.arrivalSeed = 0xe1a57;
+        load.sizeSeed = 0xe1a58;
+        TraceTemplate tmpl(load);
+        tmpl.ensure(4000);
+        const DiurnalProfile profile(2.0, 4.0);
+        const QueryTrace trace =
+            tmpl.materializeDiurnal(1000.0, profile, 4000);
+        ScalingPolicySpec policy;
+        policy.kind = ScalingPolicyKind::Static;
+        policy.staticMachines = kAccepting;
+        return Autoscaler(spec).run(trace, policy);
+    };
+    const std::vector<double> delays = {0.005, 0.02};
+    const auto [serial, parallel] = atBothThreadCounts(
+        [&] { return bench::sweepMap(delays, run_day); });
+    ASSERT_EQ(serial.size(), delays.size());
+    ASSERT_EQ(parallel.size(), delays.size());
+
+    for (size_t i = 0; i < delays.size(); i++) {
+        const AutoscaleResult& r = serial[i];
+        SCOPED_TRACE(delays[i]);
+        EXPECT_GT(r.faults.hedged, 0u);
+        EXPECT_GT(r.faults.crashes, 0u);
+        EXPECT_EQ(4000u,
+                  r.numCompleted + r.overload.droppedFinal + r.faults.lost);
+        EXPECT_EQ(r.faults.lostQueries.size(), r.faults.lost);
+        EXPECT_LE(r.faults.hedgeWins + r.faults.hedgeWasted,
+                  2 * r.faults.hedged);
+        EXPECT_LE(r.faults.hedgeSaves, r.faults.hedged);
+        // Every part a machine served was a led query or a remote
+        // part, hedge twins included.
+        uint64_t led = 0;
+        uint64_t parts = 0;
+        for (const MachineStats& m : r.perMachine) {
+            led += m.queriesDispatched;
+            parts += m.queriesDispatched + m.remoteParts;
+        }
+        EXPECT_EQ(led, r.numDispatched);
+        EXPECT_EQ(parts, r.numParts);
+        for (size_t m = kAccepting; m < r.perMachine.size(); m++) {
+            EXPECT_EQ(r.perMachine[m].remoteParts, 0u) << "machine " << m;
+            EXPECT_EQ(r.perMachine[m].queriesDispatched, 0u);
+            EXPECT_EQ(r.perMachine[m].requestsDispatched, 0u);
+        }
+
+        const AutoscaleResult& p = parallel[i];
+        EXPECT_EQ(r.fleetLatencySeconds.raw(), p.fleetLatencySeconds.raw());
+        EXPECT_EQ(r.machineSeconds, p.machineSeconds);
+        EXPECT_EQ(r.numParts, p.numParts);
+        EXPECT_EQ(r.faults.hedged, p.faults.hedged);
+        EXPECT_EQ(r.faults.hedgeWins, p.faults.hedgeWins);
+        EXPECT_EQ(r.faults.hedgeWasted, p.faults.hedgeWasted);
+        EXPECT_EQ(r.faults.hedgeSaves, p.faults.hedgeSaves);
+        EXPECT_EQ(r.faults.lostQueries, p.faults.lostQueries);
+        EXPECT_EQ(r.scaleEvents.size(), p.scaleEvents.size());
     }
 }
 

@@ -5,8 +5,8 @@
  * scenario follows a figure-reproduction path — the single-machine
  * fig11 operating points, the fig13 fleet day, the
  * cluster_routing_sweep policies, the sharded fan-out/join paths, and
- * the elastic tier's day — so an engine refactor that shifts numbers fails loudly here
- * instead of silently redrawing figures.
+ * the elastic tier's day — so an engine refactor that shifts numbers
+ * fails loudly here instead of silently redrawing figures.
  *
  * When a shift is *intended* (a modeling change), regenerate with:
  *
