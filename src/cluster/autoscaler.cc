@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "base/logging.hh"
-#include "obs/observer.hh"
 
 namespace deeprecsys {
 

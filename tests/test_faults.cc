@@ -541,7 +541,6 @@ TEST(ChaosParallelDiff, ChaosSweepBitwiseEqualAcrossThreadCounts)
     }
 }
 
-
 // ------------------------------------------- hedging on an elastic tier
 
 TEST(HedgeProperties, ElasticChaosDayHedgesOnlyOntoAcceptingMachines)
@@ -549,8 +548,9 @@ TEST(HedgeProperties, ElasticChaosDayHedgesOnlyOntoAcceptingMachines)
     // A sharded elastic chaos day with hedging on. Seven of eight
     // machines accept from t0 (two replicas per table, so they cover
     // every table) and the static target holds seven; a crash pulls
-    // machine 7 in, but its warm-up outlasts the day, so it is never
-    // accepting. A hedge landing there would show up in its books.
+    // machine 7 in, but its warm-up outlasts the day, so it never
+    // accepts while traffic flows. A hedge landing there would show
+    // up in its books.
     constexpr size_t kAccepting = 7;
     const auto run_day = [](double hedge_delay) {
         AutoscaleSpec spec;
