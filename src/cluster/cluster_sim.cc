@@ -992,7 +992,10 @@ class TierCore final : public TierState, public ClusterView
     // Epoch-fence its pending engine completions, destroy queued and
     // in-flight work, take it out of the routing set. It stays Off until
     // its scheduled repair. Depth-counted so overlapping windows (random +
-    // correlated) stay idempotent.
+    // correlated) stay idempotent. The machine is Off and billed before
+    // its lost parts settle: a lost part may fail a query the machine
+    // leads, and the released leadership must not power a draining
+    // machine off (and bill it) a second time.
     void
     crash(uint32_t m, double now)
     {
@@ -1006,16 +1009,17 @@ class TierCore final : public TierState, public ClusterView
             return;    // nothing powered to kill
         if (state[m] == MState::Accepting)
             acceptingCount--;
-        if (state[m] != MState::Warming) {
+        const bool held_work = state[m] != MState::Warming;
+        state[m] = MState::Off;
+        if (life)
+            life->powerOff(m, now);
+        if (held_work) {
             lastFaultAdvance = std::max(lastFaultAdvance, now);
             lostBuf.clear();
             machines[m].crash(now, lostBuf);
             for (uint64_t lost_part : lostBuf)
                 losePart(lost_part, now);
         }
-        state[m] = MState::Off;
-        if (life)
-            life->powerOff(m, now);
     }
 
     void

@@ -1,5 +1,8 @@
 #include "routing_policy.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "base/logging.hh"
 #include "base/random.hh"
 #include "obs/observer.hh"
@@ -349,6 +352,13 @@ class ModelAwarePo2cPolicy final : public RoutingPolicy
  * then the lower index) — and the query joins across the parts. The
  * leader (the first, largest-coverage part) runs the dense stacks;
  * every part runs the lookups for its local share of the tables.
+ *
+ * Each route builds one coverage mask per accepting machine holding
+ * any of the query's tables (bit i: the machine holds the query's
+ * i-th table) from the placement's replica lists, reads each such
+ * machine's load once, and runs the cover rounds as popcounts over
+ * the masks. The per-route work grows with the tables touched and
+ * their replicas, never with the tier size.
  */
 class ShardAwarePolicy final : public RoutingPolicy
 {
@@ -384,69 +394,75 @@ class ShardAwarePolicy final : public RoutingPolicy
     std::vector<ShardTarget>
     routeParts(const Query& query, const ClusterView& view) override
     {
-        const ShardPlacement& placement = sharding.placement;
-        drs_assert(placement.numMachines() == view.numMachines(),
+        drs_assert(sharding.placement.numMachines() == view.numMachines(),
                    "placement machine count mismatch");
-        std::vector<uint32_t> tables;
         if (sharding.models.empty()) {
             // Single-model tier: the historical draw, verbatim.
-            tables = tablesOfQuery(query.id, sharding.tableSet, popularity);
+            tablesOfQuery(query.id, sharding.tableSet, popularity, tables);
         } else {
             // Multi-model tier: draw in the query's own model's local
             // table space, then shift into the combined id space.
             drs_assert(query.model < sharding.models.size(),
                        "query's model has no table namespace");
             const ModelTableSpace& space = sharding.models[query.model];
-            tables = tablesOfQuery(query.id, space.set,
-                                   popularityOfModel[query.model]);
+            tablesOfQuery(query.id, space.set,
+                          popularityOfModel[query.model], tables);
             for (uint32_t& t : tables)
                 t += space.base;
         }
         if (obs_)
             obs_->onTablesTouched(tables);
+        buildMasks(view);
 
         // Single-hop when some accepting machine holds every table
-        // the query touches (always true under full replication).
-        candidates.clear();
-        for (size_t m = 0; m < view.numMachines(); m++) {
-            if (view.accepting(m) && placement.holdsAll(m, tables))
-                candidates.push_back(m);
+        // the query touches (always true under full replication): the
+        // least loaded such machine, ties to the lowest index. The
+        // working set is never empty (tablesOfQuery draws >= 1 table).
+        size_t best = holders.size();
+        double best_load = 0.0;
+        for (size_t k = 0; k < holders.size(); k++) {
+            if (held[k] != tables.size())
+                continue;
+            const double load = loadSignal(view, holders[k]);
+            if (best == holders.size() || load < best_load) {
+                best = k;
+                best_load = load;
+            }
         }
-        if (!candidates.empty()) {
+        if (best < holders.size()) {
             ShardTarget whole;
-            whole.machine =
-                static_cast<uint32_t>(leastLoaded(view, candidates));
+            whole.machine = holders[best];
             whole.embFraction = 1.0;
             whole.leader = true;
             return {whole};
         }
 
-        // Greedy set cover over replicas; the first pick covers the
-        // most tables and leads.
+        // Greedy set cover over the holders; the first pick covers the
+        // most tables and leads. A picked machine's mask has no
+        // uncovered bit left, so it never covers again.
+        loads.resize(holders.size());
+        for (size_t k = 0; k < holders.size(); k++)
+            loads[k] = loadSignal(view, holders[k]);
+        uncovered.assign(words, 0);
+        for (size_t i = 0; i < tables.size(); i++)
+            uncovered[i / 64] |= uint64_t{1} << (i % 64);
         std::vector<ShardTarget> parts;
-        std::vector<bool> used(view.numMachines(), false);
-        std::vector<bool> covered(tables.size(), false);
-        size_t uncovered = tables.size();
-        while (uncovered > 0) {
-            size_t best = view.numMachines();
+        size_t left = tables.size();
+        while (left > 0) {
+            best = holders.size();
             size_t best_cover = 0;
-            double best_load = 0.0;
-            for (size_t m = 0; m < view.numMachines(); m++) {
-                if (used[m] || !view.accepting(m))
-                    continue;
+            for (size_t k = 0; k < holders.size(); k++) {
+                const uint64_t* mask = &masks[k * words];
                 size_t cover = 0;
-                for (size_t i = 0; i < tables.size(); i++) {
-                    if (!covered[i] && placement.holds(m, tables[i]))
-                        cover++;
-                }
+                for (size_t w = 0; w < words; w++)
+                    cover += static_cast<size_t>(
+                        std::popcount(mask[w] & uncovered[w]));
                 if (cover == 0)
                     continue;
-                const double load = loadSignal(view, m);
-                if (best == view.numMachines() || cover > best_cover ||
-                    (cover == best_cover && load < best_load)) {
-                    best = m;
+                if (best == holders.size() || cover > best_cover ||
+                    (cover == best_cover && loads[k] < loads[best])) {
+                    best = k;
                     best_cover = cover;
-                    best_load = load;
                 }
             }
             // With machines down, a table can lose its last accepting
@@ -454,19 +470,23 @@ class ShardAwarePolicy final : public RoutingPolicy
             // plan) and let the fault-aware driver fail it over.
             // Fault-free runs never reach this: feasible placements
             // cover every table and static tiers accept everywhere.
-            if (best == view.numMachines())
+            if (best == holders.size())
                 return {};
-            used[best] = true;
             ShardTarget part;
-            part.machine = static_cast<uint32_t>(best);
+            part.machine = holders[best];
             part.leader = parts.empty();
-            for (size_t i = 0; i < tables.size(); i++) {
-                if (!covered[i] && placement.holds(best, tables[i])) {
-                    covered[i] = true;
-                    uncovered--;
-                    part.tables.push_back(tables[i]);
+            part.tables.reserve(best_cover);
+            const uint64_t* mask = &masks[best * words];
+            for (size_t w = 0; w < words; w++) {
+                uint64_t taken = mask[w] & uncovered[w];
+                uncovered[w] &= ~taken;
+                for (; taken != 0; taken &= taken - 1) {
+                    part.tables.push_back(
+                        tables[w * 64 + static_cast<size_t>(
+                                            std::countr_zero(taken))]);
                 }
             }
+            left -= best_cover;
             part.embFraction = static_cast<double>(best_cover) /
                                static_cast<double>(tables.size());
             parts.push_back(std::move(part));
@@ -483,12 +503,76 @@ class ShardAwarePolicy final : public RoutingPolicy
     }
 
   private:
+    /**
+     * Fill holders (the accepting machines holding any of the query's
+     * tables, ascending), their coverage masks and their held counts
+     * from the replica lists of the query's tables.
+     */
+    void
+    buildMasks(const ClusterView& view)
+    {
+        const ShardPlacement& placement = sharding.placement;
+        if (slot.empty())
+            slot.assign(placement.numMachines(), 0);
+        words = (tables.size() + 63) / 64;
+
+        // Every machine holding a replica, once; slot marks it seen.
+        holders.clear();
+        for (uint32_t t : tables) {
+            if (t >= placement.numTables())
+                continue;    // no replica anywhere: never covered
+            for (uint32_t m : placement.machinesOfTable(t)) {
+                if (slot[m] == 0) {
+                    slot[m] = 1;
+                    holders.push_back(m);
+                }
+            }
+        }
+        std::sort(holders.begin(), holders.end());
+        size_t kept = 0;
+        for (uint32_t m : holders) {
+            if (view.accepting(m)) {
+                holders[kept++] = m;
+                slot[m] = static_cast<uint32_t>(kept);    // index + 1
+            } else {
+                slot[m] = 0;
+            }
+        }
+        holders.resize(kept);
+
+        masks.assign(holders.size() * words, 0);
+        held.assign(holders.size(), 0);
+        for (size_t i = 0; i < tables.size(); i++) {
+            if (tables[i] >= placement.numTables())
+                continue;
+            for (uint32_t m : placement.machinesOfTable(tables[i])) {
+                if (slot[m] == 0)
+                    continue;
+                masks[(slot[m] - 1) * words + i / 64] |=
+                    uint64_t{1} << (i % 64);
+                held[slot[m] - 1]++;
+            }
+        }
+        for (uint32_t m : holders)
+            slot[m] = 0;
+    }
+
     const ShardingConfig& sharding;
     std::vector<double> popularity;    ///< cached Zipf weights
     /** Per-model weights of a multi-model tier (local table spaces). */
     std::vector<std::vector<double>> popularityOfModel;
-    std::vector<size_t> candidates;    ///< scratch, reused per call
     obs::RunObserver* obs_ = nullptr;  ///< per-table load reporting
+
+    // Per-route scratch, reused across calls.
+    std::vector<uint32_t> tables;      ///< the query's working set
+    std::vector<uint32_t> holders;     ///< accepting replica holders
+    size_t words = 0;                  ///< mask words per holder
+    std::vector<uint64_t> masks;       ///< [holder][word] coverage
+    std::vector<size_t> held;          ///< query tables per holder
+    std::vector<uint64_t> uncovered;   ///< working-set bits left
+    std::vector<double> loads;         ///< loadSignal per holder
+    /** Per machine: holder index + 1 while masks are built, else 0. */
+    std::vector<uint32_t> slot;
 };
 
 /** View for open-loop splitting: dispatch counts, no live queues. */

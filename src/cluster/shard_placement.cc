@@ -111,11 +111,13 @@ bool
 ShardPlacement::assign(uint32_t table, size_t machine, uint64_t bytes,
                        const std::vector<uint64_t>& budgets)
 {
-    if (holds_[machine][table])
+    uint64_t& word = holdBits_[machine * wordsPerMachine_ + table / 64];
+    const uint64_t mask = uint64_t{1} << (table % 64);
+    if (word & mask)
         return true;
     if (freeBytes(budgets[machine], bytesOnMachine_[machine]) < bytes)
         return false;
-    holds_[machine][table] = true;
+    word |= mask;
     bytesOnMachine_[machine] += bytes;
     tablesOnMachine_[machine].push_back(table);
     machinesOfTable_[table].push_back(static_cast<uint32_t>(machine));
@@ -136,8 +138,8 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
     p.bytesOnMachine_.assign(budget_bytes.size(), 0);
     p.tablesOnMachine_.assign(budget_bytes.size(), {});
     p.machinesOfTable_.assign(tables.size(), {});
-    p.holds_.assign(budget_bytes.size(),
-                    std::vector<bool>(tables.size(), false));
+    p.wordsPerMachine_ = (tables.size() + 63) / 64;
+    p.holdBits_.assign(budget_bytes.size() * p.wordsPerMachine_, 0);
     const size_t machines = budget_bytes.size();
 
     // Greedy single-copy placement of the tables listed in @p order:
@@ -232,7 +234,7 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
                 size_t best = machines;
                 uint64_t best_free = 0;
                 for (size_t m = 0; m < machines; m++) {
-                    if (p.holds_[m][t.id])
+                    if (p.bit(m, t.id))
                         continue;
                     const uint64_t free =
                         freeBytes(budget_bytes[m], p.bytesOnMachine_[m]);
@@ -262,16 +264,12 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
 }
 
 bool
-ShardPlacement::holds(size_t m, uint32_t t) const
-{
-    return m < holds_.size() && t < holds_[m].size() && holds_[m][t];
-}
-
-bool
 ShardPlacement::holdsAll(size_t m, const std::vector<uint32_t>& tables) const
 {
+    if (m >= numMachines())
+        return tables.empty();
     for (uint32_t t : tables) {
-        if (!holds(m, t))
+        if (t >= numTables() || !bit(m, t))
             return false;
     }
     return true;
@@ -308,6 +306,15 @@ std::vector<uint32_t>
 tablesOfQuery(uint64_t query_id, const TableSetSpec& spec,
               const std::vector<double>& weights)
 {
+    std::vector<uint32_t> chosen;
+    tablesOfQuery(query_id, spec, weights, chosen);
+    return chosen;
+}
+
+void
+tablesOfQuery(uint64_t query_id, const TableSetSpec& spec,
+              const std::vector<double>& weights, std::vector<uint32_t>& out)
+{
     drs_assert(spec.numTables > 0, "table set needs tables");
     drs_assert(weights.size() == spec.numTables,
                "popularity weights must match the table count");
@@ -315,27 +322,30 @@ tablesOfQuery(uint64_t query_id, const TableSetSpec& spec,
         ? spec.numTables
         : std::min(spec.tablesPerQuery, spec.numTables);
 
-    std::vector<uint32_t> chosen;
-    chosen.reserve(want);
+    out.clear();
+    out.reserve(want);
     if (want == spec.numTables) {
         for (uint32_t t = 0; t < spec.numTables; t++)
-            chosen.push_back(t);
-        return chosen;
+            out.push_back(t);
+        return;
     }
 
     // Weighted sampling without replacement: walk the CDF of the
     // not-yet-chosen tables. Keyed by the query id, so equal ids
-    // always draw equal working sets.
+    // always draw equal working sets. @p out stays sorted, so the walk
+    // skips the taken tables with one cursor into it.
     Rng rng(spec.seed ^ (query_id * 0x9e3779b97f4a7c15ULL));
     double remaining = 1.0;
-    std::vector<bool> taken(spec.numTables, false);
     for (uint32_t k = 0; k < want; k++) {
         const double r = rng.uniform() * remaining;
         double acc = 0.0;
         uint32_t pick = spec.numTables;
+        size_t next = 0;    // first taken table at or above t
         for (uint32_t t = 0; t < spec.numTables; t++) {
-            if (taken[t])
+            if (next < out.size() && out[next] == t) {
+                next++;
                 continue;
+            }
             acc += weights[t];
             if (r < acc) {
                 pick = t;
@@ -344,19 +354,19 @@ tablesOfQuery(uint64_t query_id, const TableSetSpec& spec,
         }
         if (pick == spec.numTables) {
             // Float round-off at the CDF tail: take the last free one.
+            size_t above = out.size();    // taken tables above t
             for (uint32_t t = spec.numTables; t-- > 0;) {
-                if (!taken[t]) {
-                    pick = t;
-                    break;
+                if (above > 0 && out[above - 1] == t) {
+                    above--;
+                    continue;
                 }
+                pick = t;
+                break;
             }
         }
-        taken[pick] = true;
         remaining -= weights[pick];
-        chosen.push_back(pick);
+        out.insert(std::lower_bound(out.begin(), out.end(), pick), pick);
     }
-    std::sort(chosen.begin(), chosen.end());
-    return chosen;
 }
 
 } // namespace deeprecsys

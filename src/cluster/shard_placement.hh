@@ -103,9 +103,13 @@ struct PlacementSpec
 };
 
 /**
- * An assignment of embedding tables to machines. Query-time views
- * (which machines hold table t; does machine m hold all of a set) are
- * precomputed so the router's per-query work stays O(tables touched).
+ * An assignment of embedding tables to machines. Query-time views are
+ * precomputed: the replica list of each table (machinesOfTable), and
+ * one bitset row per machine — ceil(tables / 64) 64-bit words in a
+ * single flat vector — so holds() is one word test and holdsAll() one
+ * test per table. The shard-aware router builds its per-query coverage
+ * masks from the replica lists, so its per-query work grows with the
+ * tables touched and their replicas, not with the tier size.
  */
 class ShardPlacement
 {
@@ -149,10 +153,16 @@ class ShardPlacement
         return machinesOfTable_[t];
     }
 
-    /** True when machine @p m holds a replica of table @p t. */
-    bool holds(size_t m, uint32_t t) const;
+    /** True when machine @p m holds a replica of table @p t (false
+     *  when either index is out of range). */
+    bool
+    holds(size_t m, uint32_t t) const
+    {
+        return m < numMachines() && t < numTables() && bit(m, t);
+    }
 
-    /** True when machine @p m holds every table in @p tables. */
+    /** True when machine @p m holds every table in @p tables (true
+     *  for an empty set). */
     bool holdsAll(size_t m, const std::vector<uint32_t>& tables) const;
 
     /** Total replicas across machines (= numTables when single-copy). */
@@ -182,12 +192,21 @@ class ShardPlacement
     bool assign(uint32_t table, size_t machine, uint64_t bytes,
                 const std::vector<uint64_t>& budgets);
 
+    /** The bit of (machine @p m, table @p t); both in range. */
+    bool
+    bit(size_t m, uint32_t t) const
+    {
+        return (holdBits_[m * wordsPerMachine_ + t / 64] >> (t % 64)) & 1U;
+    }
+
     PlacementSpec spec_;
     bool feasible_ = false;
     std::vector<uint64_t> bytesOnMachine_;
     std::vector<std::vector<uint32_t>> tablesOnMachine_;
     std::vector<std::vector<uint32_t>> machinesOfTable_;
-    std::vector<std::vector<bool>> holds_;   ///< [machine][table]
+    size_t wordsPerMachine_ = 0;       ///< ceil(numTables / 64)
+    /** [machine][table / 64], bit table % 64: machine holds table. */
+    std::vector<uint64_t> holdBits_;
 };
 
 /**
@@ -219,12 +238,21 @@ std::vector<uint32_t> tablesOfQuery(uint64_t query_id,
 
 /**
  * Same draw with the popularity weights precomputed
- * (tablePopularity(spec.numTables, spec.zipfS)) — the hot-path form
- * for per-query routing, identical output to the two-argument one.
+ * (tablePopularity(spec.numTables, spec.zipfS)), identical output to
+ * the two-argument one.
  */
 std::vector<uint32_t> tablesOfQuery(uint64_t query_id,
                                     const TableSetSpec& spec,
                                     const std::vector<double>& popularity);
+
+/**
+ * The hot-path form for per-query routing: the same draw written into
+ * @p out (cleared first), so a caller reusing one buffer allocates
+ * nothing per query.
+ */
+void tablesOfQuery(uint64_t query_id, const TableSetSpec& spec,
+                   const std::vector<double>& popularity,
+                   std::vector<uint32_t>& out);
 
 /**
  * One model's namespace within a multi-model sharded tier: its own

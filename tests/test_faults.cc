@@ -301,6 +301,111 @@ TEST(FaultConservation, ElasticAlgebraExactUnderCrashes)
     EXPECT_EQ(r.faults.lostQueries.size(), r.faults.lost);
 }
 
+/** Scale the tier from 3 to 2 serving machines at @p drain_at. */
+class DrainOnePolicy final : public ScalingPolicy
+{
+  public:
+    explicit DrainOnePolicy(double drain_at) : drainAt(drain_at) {}
+
+    size_t
+    targetMachines(const ScalingSignals& signals) override
+    {
+        return signals.timeSeconds >= drainAt ? 2 : 3;
+    }
+
+    ScalingPolicyKind kind() const override { return ScalingPolicyKind::Static; }
+
+  private:
+    const double drainAt;
+};
+
+TEST(FaultConservation, DrainingCrashBillsTheMachineOnce)
+{
+    // Three sharded machines: machine 0 holds tables {0, 1}, machine 1
+    // holds {0, 2}, machine 2 holds {1, 3}. Tables 2 and 3 have one
+    // copy, so the scale-down can drain only machine 0, and every
+    // query touches all four tables, so machine 0 leads fanned-out
+    // TwoStage queries whenever it is the least loaded. The drain
+    // starts at a control tick and machine 0 crashes inside it, while
+    // it still holds parts of queries it leads. Its powered time must
+    // end at the crash, billed once.
+    constexpr uint64_t kUnit = 100'000'000ULL;
+    const std::vector<EmbeddingTableInfo> tables = {
+        {0, kUnit, 0.25}, {1, kUnit, 0.25},
+        {2, 10 * kUnit, 0.25}, {3, 10 * kUnit, 0.25}};
+    const std::vector<uint64_t> budgets = {2 * kUnit, 11 * kUnit,
+                                           11 * kUnit};
+    PlacementSpec placement_spec;
+    placement_spec.minReplicas = 2;
+    const ShardPlacement placement =
+        ShardPlacement::build(tables, budgets, placement_spec);
+    ASSERT_EQ(placement.tablesOnMachine(0), (std::vector<uint32_t>{0, 1}));
+    ASSERT_EQ(placement.tablesOnMachine(1), (std::vector<uint32_t>{0, 2}));
+    ASSERT_EQ(placement.tablesOnMachine(2), (std::vector<uint32_t>{1, 3}));
+
+    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc2);
+    AutoscaleSpec spec;
+    for (size_t m = 0; m < budgets.size(); m++) {
+        SchedulerPolicy policy;
+        policy.perRequestBatch = 256;
+        SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
+                          std::nullopt, policy, 0.05, 1.0};
+        machine.memoryBytes = budgets[m];
+        spec.cluster.machines.push_back(machine);
+    }
+    spec.cluster.network.hopSeconds = 150e-6;
+    spec.cluster.join = JoinModel::TwoStage;
+    TableSetSpec table_set;
+    table_set.numTables = 4;
+    table_set.tablesPerQuery = 0;    // every query touches every table
+    spec.cluster.sharding = ShardingConfig{placement, table_set};
+    spec.cluster.faults.repairSeconds = 60.0;
+    spec.cluster.faults.maxFailovers = 2;
+    spec.cluster.faults.correlatedCrashMachines = 1;
+    spec.routing.kind = RoutingKind::ShardAware;
+    spec.controlIntervalSeconds = 0.5;
+    spec.warmupDelaySeconds = 0.25;
+
+    LoadSpec load;
+    load.arrivalSeed = 0xd7a1;
+    load.sizeSeed = 0xd7a2;
+    TraceTemplate tmpl(load);
+    tmpl.ensure(3000);
+    constexpr double kDrainAt = 1.5;    // seconds after the first arrival
+
+    for (double qps : {600.0, 900.0}) {
+        const QueryTrace trace = tmpl.materialize(qps, 3000);
+        const double t0 = trace.front().arrivalSeconds;
+        for (int step = 1; step <= 12; step++) {
+            const double crash_at = kDrainAt + 0.002 * step;
+            SCOPED_TRACE(testing::Message()
+                         << "qps " << qps << " crash at +" << crash_at);
+            spec.cluster.faults.correlatedCrashSeconds = crash_at;
+            // Halfway off the tick grid, so rounding cannot move the
+            // drain by a tick.
+            DrainOnePolicy policy(t0 + kDrainAt - 0.25);
+            const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
+
+            ASSERT_FALSE(r.scaleEvents.empty());
+            EXPECT_EQ(r.scaleEvents.front().granted, 2u);
+            EXPECT_EQ(r.faults.crashes, 1u);
+            EXPECT_EQ(trace.size(), r.numCompleted +
+                                        r.overload.droppedFinal +
+                                        r.faults.lost);
+            // Machine 0 was powered from the first arrival until it
+            // drained or crashed, whichever came first.
+            EXPECT_LE(r.poweredSecondsPerMachine[0], crash_at + 1e-9);
+            double sum = 0.0;
+            for (size_t m = 0; m < r.poweredSecondsPerMachine.size(); m++) {
+                EXPECT_LE(r.poweredSecondsPerMachine[m], r.spanSeconds)
+                    << "machine " << m;
+                sum += r.poweredSecondsPerMachine[m];
+            }
+            EXPECT_DOUBLE_EQ(sum, r.machineSeconds);
+        }
+    }
+}
+
 // -------------------------------------------------------- recovery
 
 TEST(FaultRecovery, ReplicationAndFailoverRestoreAvailability)

@@ -4,14 +4,18 @@
  * serving: budgets are never exceeded, placement and routing are
  * deterministic, fan-out/join conserves queries, shard-aware routing
  * only targets machines holding the query's tables, and replication
- * beats single-copy placement under load on skewed popularity.
+ * beats single-copy placement under load on skewed popularity. The
+ * placement's bit words and the router's bitmask set cover are checked
+ * against plain-loop oracles.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
+#include "base/random.hh"
 #include "cluster/capacity_planner.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/shard_placement.hh"
@@ -392,6 +396,374 @@ TEST(CapacityPlanner, MemoryFloorConstrainsThePlan)
     EXPECT_GE(plan.units, plan.minUnitsForMemory);
     EXPECT_EQ(plan.machines, plan.units);
     EXPECT_LE(plan.tailMs(spec.percentile), spec.slaMs);
+}
+
+// ------------------------------------------- bit words and set cover
+
+/** @p n equal tables with Zipf popularity, table (@p n - @p shift)
+ *  mod @p n the hottest: a shift moves the cold tables, which
+ *  hot/cold placement keeps single-copy, into the middle of the ids. */
+std::vector<EmbeddingTableInfo>
+syntheticTables(uint32_t n, uint32_t shift = 0)
+{
+    const std::vector<double> weights = tablePopularity(n, 1.1);
+    std::vector<EmbeddingTableInfo> tables;
+    for (uint32_t t = 0; t < n; t++)
+        tables.push_back({t, 1000, weights[(t + shift) % n]});
+    return tables;
+}
+
+TEST(ShardPlacement, HoldsBitsAgreeWithReplicaLists)
+{
+    for (uint32_t n : {63u, 64u, 65u, 130u}) {
+        for (PlacementStrategy strategy : allPlacementStrategies()) {
+            SCOPED_TRACE(testing::Message()
+                         << n << " tables, "
+                         << placementStrategyName(strategy));
+            PlacementSpec spec;
+            spec.strategy = strategy;
+            spec.minReplicas = 2;
+            // 5 machines, each fitting about 40% of the tables.
+            const ShardPlacement p = ShardPlacement::build(
+                syntheticTables(n),
+                std::vector<uint64_t>(5, 1000ULL * (2 * n / 5 + 2)), spec);
+            ASSERT_TRUE(p.feasible());
+            ASSERT_EQ(p.numTables(), n);
+            for (size_t m = 0; m < p.numMachines(); m++) {
+                const std::vector<uint32_t>& on = p.tablesOnMachine(m);
+                for (uint32_t t = 0; t < n; t++) {
+                    const bool listed =
+                        std::binary_search(on.begin(), on.end(), t);
+                    const std::vector<uint32_t>& of = p.machinesOfTable(t);
+                    EXPECT_EQ(p.holds(m, t), listed) << m << "," << t;
+                    EXPECT_EQ(std::count(of.begin(), of.end(), m) == 1,
+                              listed)
+                        << m << "," << t;
+                }
+                EXPECT_TRUE(p.holdsAll(m, on));
+                EXPECT_TRUE(p.holdsAll(m, {}));
+                EXPECT_FALSE(p.holds(m, n));
+                EXPECT_FALSE(p.holds(m, n + 64));
+                EXPECT_FALSE(p.holdsAll(m, {n}));
+                if (on.size() < n) {
+                    std::vector<uint32_t> all(n);
+                    for (uint32_t t = 0; t < n; t++)
+                        all[t] = t;
+                    EXPECT_FALSE(p.holdsAll(m, all));
+                }
+            }
+            const size_t out = p.numMachines();
+            EXPECT_FALSE(p.holds(out, 0));
+            EXPECT_FALSE(p.holdsAll(out, {0}));
+            EXPECT_TRUE(p.holdsAll(out, {}));
+        }
+    }
+    const ShardPlacement empty;
+    EXPECT_FALSE(empty.holds(0, 0));
+    EXPECT_TRUE(empty.holdsAll(0, {}));
+}
+
+/** The working-set draw as first written, with a per-call taken flag
+ *  vector: the oracle of the buffered draw. */
+std::vector<uint32_t>
+takenFlagDraw(uint64_t query_id, const TableSetSpec& spec,
+              const std::vector<double>& weights)
+{
+    const uint32_t want = spec.tablesPerQuery == 0
+        ? spec.numTables
+        : std::min(spec.tablesPerQuery, spec.numTables);
+    std::vector<uint32_t> chosen;
+    if (want == spec.numTables) {
+        for (uint32_t t = 0; t < spec.numTables; t++)
+            chosen.push_back(t);
+        return chosen;
+    }
+    Rng rng(spec.seed ^ (query_id * 0x9e3779b97f4a7c15ULL));
+    double remaining = 1.0;
+    std::vector<bool> taken(spec.numTables, false);
+    for (uint32_t k = 0; k < want; k++) {
+        const double r = rng.uniform() * remaining;
+        double acc = 0.0;
+        uint32_t pick = spec.numTables;
+        for (uint32_t t = 0; t < spec.numTables; t++) {
+            if (taken[t])
+                continue;
+            acc += weights[t];
+            if (r < acc) {
+                pick = t;
+                break;
+            }
+        }
+        if (pick == spec.numTables) {
+            for (uint32_t t = spec.numTables; t-- > 0;) {
+                if (!taken[t]) {
+                    pick = t;
+                    break;
+                }
+            }
+        }
+        taken[pick] = true;
+        remaining -= weights[pick];
+        chosen.push_back(pick);
+    }
+    std::sort(chosen.begin(), chosen.end());
+    return chosen;
+}
+
+TEST(TablesOfQuery, BufferedDrawMatchesTakenFlagOracle)
+{
+    std::vector<uint32_t> buffer;
+    for (uint32_t n : {1u, 2u, 32u, 130u}) {
+        for (uint32_t per_query : {0u, 1u, 8u, 64u, 200u}) {
+            for (double zipf : {0.0, 1.1, 3.0}) {
+                TableSetSpec spec;
+                spec.numTables = n;
+                spec.tablesPerQuery = per_query;
+                spec.zipfS = zipf;
+                const std::vector<double> weights =
+                    tablePopularity(n, zipf);
+                for (uint64_t id = 0; id < 200; id++) {
+                    const std::vector<uint32_t> want =
+                        takenFlagDraw(id, spec, weights);
+                    tablesOfQuery(id, spec, weights, buffer);
+                    ASSERT_EQ(buffer, want) << n << " " << per_query
+                                            << " " << zipf << " " << id;
+                    ASSERT_EQ(tablesOfQuery(id, spec), want);
+                }
+            }
+        }
+    }
+}
+
+/** A cluster view with set loads and a set accepting mask. */
+class FixedView final : public ClusterView
+{
+  public:
+    std::vector<size_t> inFlight, queued;
+    std::vector<double> speed;
+    std::vector<bool> accept;
+
+    size_t numMachines() const override { return speed.size(); }
+    size_t inFlightQueries(size_t m) const override { return inFlight[m]; }
+    size_t queuedWork(size_t m) const override { return queued[m]; }
+    bool hasGpu(size_t) const override { return false; }
+    double speedFactor(size_t m) const override { return speed[m]; }
+    bool accepting(size_t m) const override { return accept[m]; }
+};
+
+double
+oracleLoad(const ClusterView& view, size_t m)
+{
+    const double outstanding = static_cast<double>(
+        view.inFlightQueries(m) + view.queuedWork(m));
+    return outstanding / view.speedFactor(m);
+}
+
+/**
+ * The shard-aware set cover as first written: every cover round
+ * rescans every machine and asks the placement about every uncovered
+ * table. The oracle the bitmask cover must match plan for plan.
+ */
+std::vector<ShardTarget>
+nestedLoopCover(const std::vector<uint32_t>& tables,
+                const ShardPlacement& placement, const ClusterView& view)
+{
+    std::vector<size_t> candidates;
+    for (size_t m = 0; m < view.numMachines(); m++) {
+        if (view.accepting(m) && placement.holdsAll(m, tables))
+            candidates.push_back(m);
+    }
+    if (!candidates.empty()) {
+        size_t best = candidates.front();
+        double best_load = oracleLoad(view, best);
+        for (size_t i = 1; i < candidates.size(); i++) {
+            const double load = oracleLoad(view, candidates[i]);
+            if (load < best_load) {
+                best = candidates[i];
+                best_load = load;
+            }
+        }
+        ShardTarget whole;
+        whole.machine = static_cast<uint32_t>(best);
+        whole.embFraction = 1.0;
+        whole.leader = true;
+        return {whole};
+    }
+
+    std::vector<ShardTarget> parts;
+    std::vector<bool> used(view.numMachines(), false);
+    std::vector<bool> covered(tables.size(), false);
+    size_t uncovered = tables.size();
+    while (uncovered > 0) {
+        size_t best = view.numMachines();
+        size_t best_cover = 0;
+        double best_load = 0.0;
+        for (size_t m = 0; m < view.numMachines(); m++) {
+            if (used[m] || !view.accepting(m))
+                continue;
+            size_t cover = 0;
+            for (size_t i = 0; i < tables.size(); i++) {
+                if (!covered[i] && placement.holds(m, tables[i]))
+                    cover++;
+            }
+            if (cover == 0)
+                continue;
+            const double load = oracleLoad(view, m);
+            if (best == view.numMachines() || cover > best_cover ||
+                (cover == best_cover && load < best_load)) {
+                best = m;
+                best_cover = cover;
+                best_load = load;
+            }
+        }
+        if (best == view.numMachines())
+            return {};
+        used[best] = true;
+        ShardTarget part;
+        part.machine = static_cast<uint32_t>(best);
+        part.leader = parts.empty();
+        for (size_t i = 0; i < tables.size(); i++) {
+            if (!covered[i] && placement.holds(best, tables[i])) {
+                covered[i] = true;
+                uncovered--;
+                part.tables.push_back(tables[i]);
+            }
+        }
+        part.embFraction = static_cast<double>(best_cover) /
+                           static_cast<double>(tables.size());
+        parts.push_back(std::move(part));
+    }
+    return parts;
+}
+
+TEST(ShardAwareRouting, BitmaskCoverMatchesNestedLoopOracle)
+{
+    // Seeded draws of placements, table namespaces, loads and
+    // accepting masks; every plan must equal the oracle's field by
+    // field, embFraction to the bit.
+    Rng rng(0xc0de5e7ULL);
+    size_t single_hop = 0, fanned = 0, empty = 0, wide = 0, tied = 0;
+    for (int draw = 0; draw < 300; draw++) {
+        const bool multi_model = draw % 3 == 2;
+        // Every fourth draw is wide: working sets of up to 200 tables
+        // give coverage masks of two to four words.
+        const bool wide_draw = draw % 4 == 0;
+        const uint32_t n = wide_draw
+            ? static_cast<uint32_t>(rng.uniformInt(65, 200))
+            : static_cast<uint32_t>(rng.uniformInt(8, 40));
+        const size_t machines = static_cast<size_t>(
+            wide_draw ? rng.uniformInt(2, 4) : rng.uniformInt(2, 12));
+        PlacementSpec spec;
+        spec.strategy = allPlacementStrategies()[static_cast<size_t>(
+            rng.uniformInt(0, 2))];
+        spec.minReplicas = static_cast<uint32_t>(rng.uniformInt(1, 3));
+        spec.hotReplicaFraction = rng.uniform() < 0.5 ? 0.5 : 0.9;
+        // Budgets fit the replicas the spec asks for about once (a
+        // hot/cold placement then leaves only a few tables cold) or
+        // 1.5 times.
+        const uint64_t slack = rng.uniform() < 0.5 ? 2 : 3;
+        const uint64_t budget =
+            1000ULL * ((slack * n * spec.minReplicas) / (2 * machines) + 2);
+        ShardingConfig sharding{
+            ShardPlacement::build(syntheticTables(n, static_cast<uint32_t>(
+                                      rng.uniformInt(0, n - 1))),
+                                  std::vector<uint64_t>(machines, budget),
+                                  spec),
+            TableSetSpec{}};
+        if (!sharding.placement.feasible())
+            continue;
+        sharding.tableSet.numTables = n;
+        const uint32_t narrow_choices[] = {0, 1, 4, 8, 70};
+        const uint32_t wide_choices[] = {0, 0, 70, 130, 8};
+        sharding.tableSet.tablesPerQuery = (wide_draw ? wide_choices
+                                                      : narrow_choices)[
+            rng.uniformInt(0, 4)];
+        sharding.tableSet.seed = rng();
+        if (multi_model) {
+            // Two namespaces splitting the table space.
+            const uint32_t split =
+                static_cast<uint32_t>(rng.uniformInt(1, n - 1));
+            ModelTableSpace a, b;
+            a.set.numTables = split;
+            a.set.tablesPerQuery = sharding.tableSet.tablesPerQuery;
+            a.set.seed = rng();
+            b.set.numTables = n - split;
+            b.set.tablesPerQuery = sharding.tableSet.tablesPerQuery;
+            b.set.zipfS = 0.5;
+            b.set.seed = rng();
+            b.base = split;
+            sharding.models = {a, b};
+        }
+        const auto policy = makeRoutingPolicy(
+            RoutingSpec{RoutingKind::ShardAware, 0x5eedULL}, &sharding);
+
+        FixedView view;
+        view.inFlight.resize(machines);
+        view.queued.resize(machines);
+        view.speed.resize(machines);
+        view.accept.resize(machines);
+        for (int q = 0; q < 20; q++) {
+            const bool equal_loads = q % 4 == 0;
+            for (size_t m = 0; m < machines; m++) {
+                view.inFlight[m] =
+                    equal_loads ? 3 : static_cast<size_t>(rng.uniformInt(0, 4));
+                view.queued[m] =
+                    equal_loads ? 1 : static_cast<size_t>(rng.uniformInt(0, 2));
+                view.speed[m] = equal_loads ? 1.0
+                                            : (rng.uniform() < 0.5 ? 1.0 : 0.5);
+                view.accept[m] = q % 5 == 0 || rng.uniform() < 0.7;
+            }
+            view.accept[static_cast<size_t>(rng.uniformInt(
+                0, static_cast<int64_t>(machines) - 1))] = true;
+
+            Query query;
+            query.id = rng();
+            query.model = multi_model
+                ? static_cast<uint32_t>(rng.uniformInt(0, 1)) : 0;
+            std::vector<uint32_t> tables;
+            if (multi_model) {
+                const ModelTableSpace& space = sharding.models[query.model];
+                tables = tablesOfQuery(query.id, space.set);
+                for (uint32_t& t : tables)
+                    t += space.base;
+            } else {
+                tables = tablesOfQuery(query.id, sharding.tableSet);
+            }
+
+            const std::vector<ShardTarget> want =
+                nestedLoopCover(tables, sharding.placement, view);
+            const std::vector<ShardTarget> got =
+                policy->routeParts(query, view);
+            SCOPED_TRACE(testing::Message() << "draw " << draw << " query "
+                                            << q << ", " << tables.size()
+                                            << " tables");
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < want.size(); i++) {
+                EXPECT_EQ(got[i].machine, want[i].machine) << "part " << i;
+                EXPECT_EQ(got[i].leader, want[i].leader) << "part " << i;
+                EXPECT_EQ(std::bit_cast<uint64_t>(got[i].embFraction),
+                          std::bit_cast<uint64_t>(want[i].embFraction))
+                    << "part " << i;
+                EXPECT_EQ(got[i].tables, want[i].tables) << "part " << i;
+            }
+            if (want.empty())
+                empty++;
+            else if (want.size() == 1)
+                single_hop++;
+            else
+                fanned++;
+            if (want.size() > 1 && tables.size() > 64)
+                wide++;
+            if (equal_loads && want.size() > 1)
+                tied++;
+        }
+    }
+    // Every path of the cover was exercised.
+    EXPECT_GT(single_hop, 0u);
+    EXPECT_GT(fanned, 0u);
+    EXPECT_GT(empty, 0u);
+    EXPECT_GT(wide, 0u);
+    EXPECT_GT(tied, 0u);
 }
 
 } // namespace
