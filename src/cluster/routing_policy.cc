@@ -415,23 +415,17 @@ class ShardAwarePolicy final : public RoutingPolicy
         buildMasks(view);
 
         // Single-hop when some accepting machine holds every table
-        // the query touches (always true under full replication): the
-        // least loaded such machine, ties to the lowest index. The
+        // the query touches (always true under full replication). The
         // working set is never empty (tablesOfQuery draws >= 1 table).
-        size_t best = holders.size();
-        double best_load = 0.0;
+        candidates.clear();
         for (size_t k = 0; k < holders.size(); k++) {
-            if (held[k] != tables.size())
-                continue;
-            const double load = loadSignal(view, holders[k]);
-            if (best == holders.size() || load < best_load) {
-                best = k;
-                best_load = load;
-            }
+            if (held[k] == tables.size())
+                candidates.push_back(holders[k]);
         }
-        if (best < holders.size()) {
+        if (!candidates.empty()) {
             ShardTarget whole;
-            whole.machine = holders[best];
+            whole.machine =
+                static_cast<uint32_t>(leastLoaded(view, candidates));
             whole.embFraction = 1.0;
             whole.leader = true;
             return {whole};
@@ -449,7 +443,7 @@ class ShardAwarePolicy final : public RoutingPolicy
         std::vector<ShardTarget> parts;
         size_t left = tables.size();
         while (left > 0) {
-            best = holders.size();
+            size_t best = holders.size();
             size_t best_cover = 0;
             for (size_t k = 0; k < holders.size(); k++) {
                 const uint64_t* mask = &masks[k * words];
@@ -566,6 +560,7 @@ class ShardAwarePolicy final : public RoutingPolicy
     // Per-route scratch, reused across calls.
     std::vector<uint32_t> tables;      ///< the query's working set
     std::vector<uint32_t> holders;     ///< accepting replica holders
+    std::vector<size_t> candidates;    ///< holders of the whole set
     size_t words = 0;                  ///< mask words per holder
     std::vector<uint64_t> masks;       ///< [holder][word] coverage
     std::vector<size_t> held;          ///< query tables per holder
