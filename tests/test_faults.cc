@@ -313,7 +313,11 @@ class DrainOnePolicy final : public ScalingPolicy
         return signals.timeSeconds >= drainAt ? 2 : 3;
     }
 
-    ScalingPolicyKind kind() const override { return ScalingPolicyKind::Static; }
+    ScalingPolicyKind
+    kind() const override
+    {
+        return ScalingPolicyKind::Static;
+    }
 
   private:
     const double drainAt;
