@@ -119,16 +119,6 @@ AdmissionController::AdmissionController(
 
 double
 AdmissionController::requestSecondsAt(size_t m, size_t req_batch,
-                                      uint32_t model) const
-{
-    // On a sharded tier a machine serves only its local slice of the
-    // embedding work (the leader also runs the dense stacks, the
-    // longest per-machine path) — price that, not the whole model.
-    return requestSecondsAt(m, req_batch, embShare, true, model);
-}
-
-double
-AdmissionController::requestSecondsAt(size_t m, size_t req_batch,
                                       double emb_fraction,
                                       bool include_dense,
                                       uint32_t model) const
@@ -154,34 +144,11 @@ AdmissionController::backlogSeconds(size_t m, const ClusterView& view) const
     // sharded tier's queue mixes covering-set sizes and leader /
     // follower parts). Drain it across the whole core pool: the wait
     // a new arrival sees is total queued work over pool throughput.
-    const double exact = view.queuedCostSeconds(m);
-    if (exact >= 0.0) {
-        // Second-order term: dense join phases this machine already
-        // owes for in-flight fan-outs it leads but has not queued yet
-        // — work a new arrival waits behind just the same.
-        return (exact + view.pendingJoinCostSeconds(m)) / cores[m];
-    }
-    // Fallback for views without engine state: price the queue at its
-    // own mean request batch (queued samples over queued requests).
-    // Views without sample-level state report queuedSamples ==
-    // queuedWork and price as single-sample requests, the
-    // conservative end of the efficiency curve. The divergence from
-    // the engine-exact path is bounded (AdmissionFallback tests) but
-    // real — mixed whole/shard queues are mispriced — so surface the
-    // downgrade once per controller instead of silently estimating.
-    const size_t requests = view.queuedWork(m);
-    if (requests == 0)
-        return 0.0;    // empty queue: the fallback is exact
-    if (!fallbackWarned) {
-        fallbackWarned = true;
-        drs_warn("admission estimator: view exposes no engine queue"
-                 " cost; falling back to mean-batch pricing");
-    }
-    const size_t samples = std::max(view.queuedSamples(m), requests);
-    const size_t meanBatch = samples / requests;
-    const double work =
-        static_cast<double>(requests) * requestSecondsAt(m, meanBatch);
-    return work / cores[m];
+    // The second-order term is the dense join phases this machine
+    // already owes for in-flight fan-outs it leads but has not queued
+    // yet — work a new arrival waits behind just the same.
+    return (view.queuedCostSeconds(m) + view.pendingJoinCostSeconds(m)) /
+        cores[m];
 }
 
 double
@@ -199,22 +166,6 @@ AdmissionController::meanBacklogSeconds(const ClusterView& view) const
     // At least one machine always accepts (ClusterView contract).
     drs_assert(accepting > 0, "no accepting machine to estimate against");
     return sum / static_cast<double>(accepting);
-}
-
-double
-AdmissionController::pressureBacklogSeconds(const ClusterView& view) const
-{
-    // Unsharded, load-balanced tier: the mean over accepting machines
-    // tracks where the router actually lands queries. Sharded tier:
-    // a query fans out to a covering set and completes when its
-    // *slowest* shard part returns, and placement skew routinely
-    // pins the hot tables to a few machines every covering set must
-    // visit — the fleet mean dilutes the binding queue away (a
-    // saturated shard hides behind seven idle ones), so the honest
-    // pressure is the worst accepting backlog.
-    if (embShare >= 1.0)
-        return meanBacklogSeconds(view);
-    return worstBacklogSeconds(view);
 }
 
 double
@@ -246,13 +197,6 @@ AdmissionController::queueWaitSeconds(const ClusterView& view) const
     // the tier then settles where ONE wait fits the deadline and the
     // measured two-visit latency lands near twice it.
     return joinModel == JoinModel::TwoStage ? worst + worst : worst;
-}
-
-double
-AdmissionController::serviceSeconds(size_t m, uint32_t size,
-                                    uint32_t model) const
-{
-    return partServiceSeconds(m, size, embShare, true, model);
 }
 
 double
@@ -326,14 +270,6 @@ AdmissionController::serviceAndHopSeconds(uint32_t size,
     // dense, the longest per-machine path) bounds the join.
     return fwd + bestServiceSeconds(view, size, embShare, true, model) +
         ret;
-}
-
-double
-AdmissionController::estimatedResponseSeconds(uint32_t size,
-                                              const ClusterView& view,
-                                              uint32_t model) const
-{
-    return queueWaitSeconds(view) + serviceAndHopSeconds(size, view, model);
 }
 
 AdmissionDecision

@@ -33,11 +33,7 @@
  * through the machine's own cost model at enqueue — plus the
  * committed-but-unqueued TwoStage join phases the machine already
  * owes (ClusterView::pendingJoinCostSeconds), which the controller
- * divides by the core pool for a drain-time estimate. Views without
- * engine state fall back to the controller pricing queued samples
- * itself at their mean request batch (warned once per controller
- * through the LogSink hook, and divergence-bounded by
- * AdmissionFallback tests).
+ * divides by the core pool for a drain-time estimate.
  *
  * Deadline admission prices the **full critical path** of the query
  * shape the tier actually serves. Unsharded: forward hop + mean
@@ -60,8 +56,7 @@
  * Units: seconds throughout; sizes in candidate samples. Ownership:
  * the controller copies its config and calibration and borrows
  * nothing; decisions read only the view passed in. Determinism: see
- * above — decide() is pure (the fallback warn-once flag gates a log
- * line only, never a decision).
+ * above — decide() is pure.
  */
 
 #ifndef DRS_CLUSTER_ADMISSION_HH
@@ -391,35 +386,14 @@ class AdmissionController
 
     /**
      * Estimated seconds for machine @p m to drain its queue (0 when
-     * idle): queued requests priced at their mean batch through the
-     * machine's own cost model, drained across the core pool.
+     * idle): the view's engine-exact queued cost plus the join phases
+     * the machine already owes, drained across the core pool.
      */
     double backlogSeconds(size_t m, const ClusterView& view) const;
 
     /** Mean backlogSeconds over accepting machines — the backlog a
      *  load-balanced router actually lands on. */
     double meanBacklogSeconds(const ClusterView& view) const;
-
-    /**
-     * The pressure signal of both admission and degrade: mean
-     * backlog over accepting machines on an unsharded tier (routing
-     * balances load, so the mean is where queries land), worst
-     * accepting backlog on a sharded tier (a fanned-out query joins
-     * on its slowest shard, and placement skew means the fleet mean
-     * hides the one saturated machine every covering set visits).
-     */
-    double pressureBacklogSeconds(const ClusterView& view) const;
-
-    /**
-     * Estimated service seconds of a @p size-sample query of mix
-     * model @p model on machine @p m once it reaches the front of the
-     * queue (batch-split across the core pool). On a sharded tier
-     * this is the leader-part price (local embedding share plus dense
-     * stacks). Model 0 (the default) prices through the machine's
-     * primary binding — the historical single-model arithmetic.
-     */
-    double serviceSeconds(size_t m, uint32_t size,
-                          uint32_t model = 0) const;
 
     /**
      * Total projected queue-wait seconds of the critical path: mean
@@ -433,40 +407,23 @@ class AdmissionController
      */
     double queueWaitSeconds(const ClusterView& view) const;
 
-    /**
-     * Estimated response seconds of a @p size-sample query of mix
-     * model @p model admitted now: queueWaitSeconds plus the
-     * per-shape service and network terms (see the file comment for
-     * the three shapes). The queue-wait terms are *totals* across
-     * models — the tier's queues are shared, so a new arrival drains
-     * behind every model's queued work — while the service terms are
-     * priced through the query's own model binding. This against the
-     * class budget is the deadline admission test.
-     */
-    double estimatedResponseSeconds(uint32_t size, const ClusterView& view,
-                                    uint32_t model = 0) const;
-
     const OverloadConfig& config() const { return cfg; }
 
   private:
     OverloadConfig cfg;
 
     /** Per-request seconds for a @p req_batch-sample request on
-     *  machine @p m under full core contention, slowdown applied
-     *  (leader-part shape: embShare of the gathers plus dense). */
-    double requestSecondsAt(size_t m, size_t req_batch,
-                            uint32_t model = 0) const;
-
-    /** Same, for an arbitrary part shape: @p emb_fraction of the
-     *  embedding gathers, dense stacks iff @p include_dense. */
+     *  machine @p m under full core contention, slowdown applied, for
+     *  a part shape of @p emb_fraction of the embedding gathers plus
+     *  the dense stacks iff @p include_dense. */
     double requestSecondsAt(size_t m, size_t req_batch,
                             double emb_fraction, bool include_dense,
                             uint32_t model = 0) const;
 
     /**
      * Estimated service seconds of a @p size-sample part of the given
-     * shape on machine @p m (batch-split across the core pool);
-     * serviceSeconds above is the (embShare, dense) instance.
+     * shape on machine @p m once it reaches the front of the queue
+     * (batch-split across the core pool).
      */
     double partServiceSeconds(size_t m, uint32_t size,
                               double emb_fraction, bool include_dense,
@@ -481,8 +438,15 @@ class AdmissionController
     /** Worst accepting machine's backlogSeconds. */
     double worstBacklogSeconds(const ClusterView& view) const;
 
-    /** The service and network terms of the response estimate — i.e.
-     *  estimatedResponseSeconds minus queueWaitSeconds. */
+    /**
+     * The service and network terms of the response estimate of a
+     * @p size-sample query of mix model @p model (see the file comment
+     * for the three shapes). decide() adds queueWaitSeconds: the
+     * queue-wait terms are *totals* across models — the tier's queues
+     * are shared, so a new arrival drains behind every model's queued
+     * work — while these terms are priced through the query's own
+     * model binding.
+     */
     double serviceAndHopSeconds(uint32_t size, const ClusterView& view,
                                 uint32_t model = 0) const;
 
@@ -527,14 +491,6 @@ class AdmissionController
     /** Configured per-request batch per (machine, model) binding,
      *  flattened like `cpu` (latency estimate). */
     std::vector<double> batch;
-
-    /**
-     * One warning per controller when a view without engine queue
-     * cost forces the mean-batch fallback estimate (satellite of the
-     * estimator-divergence fix; see AdmissionFallback tests). Gates a
-     * LogSink line only — never a decision, so decide() stays pure.
-     */
-    mutable bool fallbackWarned = false;
 };
 
 } // namespace deeprecsys

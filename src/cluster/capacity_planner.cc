@@ -36,8 +36,7 @@ planCapacity(const CapacityPlanSpec& spec)
     if (sharded)
         drs_assert(spec.tableSet.numTables == spec.tables.size(),
                    "table-set model must match the table list");
-    const bool mixOn = !spec.modelMix.empty();
-    if (mixOn) {
+    if (!spec.modelMix.empty()) {
         drs_assert(!sharded,
                    "multi-model plans must be unsharded — a colocated "
                    "placement depends on the fixed tier size "
@@ -71,15 +70,12 @@ planCapacity(const CapacityPlanSpec& spec)
     // The query population is drawn once and re-timed per candidate
     // (bit-identical to regenerating); larger tiers consume a longer
     // prefix. ensure() only ever runs on this thread, between
-    // generations — materialize() is what the workers share. A
-    // multi-model plan draws the mixed trace instead (per-model
-    // substreams merged by arrival).
+    // generations — materialize() is what the workers share. The
+    // trace is the plan's mix (per-model substreams merged by arrival;
+    // a single-model plan is the one-entry mix).
     LoadSpec load = spec.load;
     load.qps = spec.targetQps;
-    TraceTemplate trace_template(load);
-    MixedTraceTemplate mixed_template(
-        load, mixOn ? mixFractions(spec.modelMix)
-                    : std::vector<double>{1.0});
+    MixedTraceTemplate mixed_template(load, mixFractions(spec.modelMix));
     auto trace_length = [&](size_t units) {
         return std::max(spec.minQueries,
                         spec.queriesPerMachine * units *
@@ -100,13 +96,9 @@ planCapacity(const CapacityPlanSpec& spec)
             cluster.sharding =
                 ShardingConfig{std::move(*placement), spec.tableSet};
         }
-        const QueryTrace trace = mixOn
-            ? mixed_template.materialize(spec.targetQps,
-                                         trace_length(units))
-            : trace_template.materialize(spec.targetQps,
-                                         trace_length(units));
-        ClusterResult r =
-            ClusterSimulator(cluster).run(trace, spec.routing);
+        ClusterResult r = ClusterSimulator(cluster).run(
+            mixed_template.materialize(spec.targetQps, trace_length(units)),
+            spec.routing);
         const bool meets = r.tailMs(spec.percentile) <= spec.slaMs &&
             meetsPerModelSla(r, spec.modelMix, spec.percentile);
         return {std::move(r), meets};
@@ -121,10 +113,7 @@ planCapacity(const CapacityPlanSpec& spec)
     ClusterResult atHi;
     bool found = false;
     auto consume = [&](const std::vector<size_t>& counts) {
-        if (mixOn)
-            mixed_template.ensure(trace_length(counts.back()));
-        else
-            trace_template.ensure(trace_length(counts.back()));
+        mixed_template.ensure(trace_length(counts.back()));
         consumeGeneration(
             counts, evaluate,
             [&](size_t i, std::pair<ClusterResult, bool>& point) {

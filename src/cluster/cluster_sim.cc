@@ -605,12 +605,6 @@ class TierCore final : public TierState, public ClusterView
         return machines[m].queuedWork();
     }
 
-    size_t
-    queuedSamples(size_t m) const override
-    {
-        return machines[m].queuedSamples();
-    }
-
     double
     queuedCostSeconds(size_t m) const override
     {
@@ -648,10 +642,8 @@ class TierCore final : public TierState, public ClusterView
         return acceptingCount == machines.size();
     }
 
-    // Per-model slices (the per-model books exist only on mixed
-    // tiers; single-model runs fall back to the totals).
-    size_t numModels() const override { return numMix; }
-
+    // Per-model signals (the per-model flight book exists only on
+    // mixed tiers; single-model runs fall back to the totals).
     bool
     servesModel(size_t m, uint32_t model) const override
     {
@@ -662,19 +654,6 @@ class TierCore final : public TierState, public ClusterView
     inFlightQueriesOfModel(size_t m, uint32_t model) const override
     {
         return mixOn ? inFlightByModel[m * numMix + model] : inFlight[m];
-    }
-
-    double
-    queuedCostSecondsOfModel(size_t m, uint32_t model) const override
-    {
-        return machines[m].queuedCostSeconds(model);
-    }
-
-    double
-    pendingJoinCostSecondsOfModel(size_t m, uint32_t model) const override
-    {
-        return mixOn ? pendingJoinByModel[m * numMix + model]
-                     : pendingJoinCost[m];
     }
 
   private:
@@ -914,11 +893,8 @@ class TierCore final : public TierState, public ClusterView
     void
     releaseJoinCost(QueryState& q)
     {
-        const double phase =
+        pendingJoinCost[q.machine] -=
             machines[q.machine].joinPhaseCostSeconds(q.size, q.model);
-        pendingJoinCost[q.machine] -= phase;
-        if (mixOn)
-            pendingJoinByModel[q.machine * numMix + q.model] -= phase;
         q.joinCommitted = false;
     }
 
@@ -1304,11 +1280,8 @@ class TierCore final : public TierState, public ClusterView
         // second-order backlog (released exactly once, at the JoinPhase
         // event or when a failure kills the dispatch).
         if (trackJoinCost) {
-            const double phase =
+            pendingJoinCost[q.machine] +=
                 machines[q.machine].joinPhaseCostSeconds(served.size, q.model);
-            pendingJoinCost[q.machine] += phase;
-            if (mixOn)
-                pendingJoinByModel[q.machine * numMix + q.model] += phase;
             q.joinCommitted = true;
         }
         // Arm the tail-at-scale hedge; the check goes stale if the query
@@ -1352,11 +1325,9 @@ class TierCore final : public TierState, public ClusterView
     std::vector<HedgePart> hedgeParts;          ///< parallel to parts
     std::vector<HedgeDispatch> hedgeDispatch;   ///< parallel to queries
 
-    /** Per-(machine, model) flight and committed-join books of a mixed
-     *  tier, flattened [m * numMix + model]; empty on single-model
-     *  runs. */
+    /** Per-(machine, model) flight book of a mixed tier, flattened
+     *  [m * numMix + model]; empty on single-model runs. */
     std::vector<uint64_t> inFlightByModel;
-    std::vector<double> pendingJoinByModel;
 
     /**
      * Committed-but-unqueued TwoStage join-phase cost per machine:
@@ -1423,10 +1394,8 @@ TierCore::run()
     inFlight.assign(n, 0);
     pendingJoins.assign(n, 0);
     downDepth.assign(n, 0);
-    if (mixOn) {
+    if (mixOn)
         inFlightByModel.assign(n * numMix, 0);
-        pendingJoinByModel.assign(n * numMix, 0.0);
-    }
     pendingJoinCost.assign(n, 0.0);
     grayDepth.assign(n, 0);
     netDepth.assign(n, 0);

@@ -59,21 +59,32 @@ loadSignal(const ClusterView& view, size_t m)
     return outstanding / view.speedFactor(m);
 }
 
-/** Least-loaded machine among @p candidates (ties to the lowest index). */
-size_t
-leastLoaded(const ClusterView& view, const std::vector<size_t>& candidates)
+/** loadSignal bound to @p view, as the load argument of the pickers. */
+auto
+queueLoad(const ClusterView& view)
 {
-    drs_assert(!candidates.empty(), "no routing candidates");
-    size_t best = candidates.front();
-    double best_load = loadSignal(view, best);
-    for (size_t i = 1; i < candidates.size(); i++) {
-        const double load = loadSignal(view, candidates[i]);
-        if (load < best_load) {
-            best = candidates[i];
-            best_load = load;
-        }
-    }
-    return best;
+    return [&view](size_t m) { return loadSignal(view, m); };
+}
+
+/**
+ * The machines a policy picks among: [0, size) when @c list is null —
+ * the static-tier fast path, which builds no candidate list — else
+ * the ascending machine indices in @c *list.
+ */
+struct MachineSet
+{
+    size_t count = 0;
+    const std::vector<size_t>* list = nullptr;
+
+    size_t size() const { return count; }
+    size_t operator[](size_t i) const { return list ? (*list)[i] : i; }
+};
+
+/** An explicit candidate list as a MachineSet (borrowed). */
+MachineSet
+listed(const std::vector<size_t>& candidates)
+{
+    return {candidates.size(), &candidates};
 }
 
 /**
@@ -91,6 +102,54 @@ acceptingMachines(const ClusterView& view, std::vector<size_t>& out)
             out.push_back(m);
     }
     drs_assert(!out.empty(), "no machine is accepting queries");
+}
+
+/** The accepting machines: every machine, with no list built, when
+ *  the view reports allAccepting(); else listed in @p scratch. */
+MachineSet
+routable(const ClusterView& view, std::vector<size_t>& scratch)
+{
+    if (view.allAccepting())
+        return {view.numMachines(), nullptr};
+    acceptingMachines(view, scratch);
+    return listed(scratch);
+}
+
+/** The machine of @p set with the lowest @p load (ties to the lowest
+ *  index); each machine's load is read once. */
+template <typename Load>
+size_t
+leastLoaded(const MachineSet& set, const Load& load)
+{
+    drs_assert(set.size() > 0, "no routing candidates");
+    size_t best = set[0];
+    double best_load = load(best);
+    for (size_t i = 1; i < set.size(); i++) {
+        const size_t m = set[i];
+        const double l = load(m);
+        if (l < best_load) {
+            best = m;
+            best_load = l;
+        }
+    }
+    return best;
+}
+
+/** Power of two choices: draw two distinct machines of @p set from
+ *  @p rng and keep the one with the lower @p load (the first drawn on
+ *  a tie). A one-machine set draws nothing. */
+template <typename Load>
+size_t
+twoChoices(Rng& rng, const MachineSet& set, const Load& load)
+{
+    const int64_t n = static_cast<int64_t>(set.size());
+    if (n == 1)
+        return set[0];
+    const size_t a = static_cast<size_t>(rng.uniformInt(0, n - 1));
+    size_t b = static_cast<size_t>(rng.uniformInt(0, n - 2));
+    if (b >= a)
+        b++;    // sample without replacement
+    return load(set[b]) < load(set[a]) ? set[b] : set[a];
 }
 
 class RoundRobinPolicy final : public RoutingPolicy
@@ -123,13 +182,9 @@ class UniformRandomPolicy final : public RoutingPolicy
     size_t
     route(const Query&, const ClusterView& view) override
     {
-        if (view.allAccepting()) {
-            return static_cast<size_t>(rng.uniformInt(
-                0, static_cast<int64_t>(view.numMachines()) - 1));
-        }
-        acceptingMachines(view, candidates);
-        return candidates[static_cast<size_t>(rng.uniformInt(
-            0, static_cast<int64_t>(candidates.size()) - 1))];
+        const MachineSet set = routable(view, candidates);
+        return set[static_cast<size_t>(
+            rng.uniformInt(0, static_cast<int64_t>(set.size()) - 1))];
     }
 
     RoutingKind kind() const override { return RoutingKind::UniformRandom; }
@@ -145,20 +200,7 @@ class JoinShortestQueuePolicy final : public RoutingPolicy
     size_t
     route(const Query&, const ClusterView& view) override
     {
-        if (view.allAccepting()) {
-            size_t best = 0;
-            double best_load = loadSignal(view, 0);
-            for (size_t m = 1; m < view.numMachines(); m++) {
-                const double load = loadSignal(view, m);
-                if (load < best_load) {
-                    best = m;
-                    best_load = load;
-                }
-            }
-            return best;
-        }
-        acceptingMachines(view, candidates);
-        return leastLoaded(view, candidates);
+        return leastLoaded(routable(view, candidates), queueLoad(view));
     }
 
     RoutingKind
@@ -179,29 +221,7 @@ class PowerOfTwoChoicesPolicy final : public RoutingPolicy
     size_t
     route(const Query&, const ClusterView& view) override
     {
-        if (view.allAccepting()) {
-            const int64_t n = static_cast<int64_t>(view.numMachines());
-            if (n == 1)
-                return 0;
-            const size_t a =
-                static_cast<size_t>(rng.uniformInt(0, n - 1));
-            size_t b = static_cast<size_t>(rng.uniformInt(0, n - 2));
-            if (b >= a)
-                b++;    // sample without replacement
-            return loadSignal(view, b) < loadSignal(view, a) ? b : a;
-        }
-        acceptingMachines(view, candidates);
-        const int64_t n = static_cast<int64_t>(candidates.size());
-        if (n == 1)
-            return candidates.front();
-        const size_t a = static_cast<size_t>(rng.uniformInt(0, n - 1));
-        size_t b = static_cast<size_t>(rng.uniformInt(0, n - 2));
-        if (b >= a)
-            b++;    // sample without replacement
-        return loadSignal(view, candidates[b]) <
-                       loadSignal(view, candidates[a])
-                   ? candidates[b]
-                   : candidates[a];
+        return twoChoices(rng, routable(view, candidates), queueLoad(view));
     }
 
     RoutingKind
@@ -242,7 +262,7 @@ class SizeAwarePolicy final : public RoutingPolicy
         }
         if (candidates.empty())
             acceptingMachines(view, candidates);
-        return leastLoaded(view, candidates);
+        return leastLoaded(listed(candidates), queueLoad(view));
     }
 
     RoutingKind kind() const override { return RoutingKind::SizeAware; }
@@ -260,11 +280,13 @@ class SizeAwarePolicy final : public RoutingPolicy
  * excluded: the point of model-aware balancing is to keep one model's
  * burst from scrambling another model's placement decisions.
  */
-double
-modelLoadSignal(const ClusterView& view, size_t m, uint32_t model)
+auto
+modelLoad(const ClusterView& view, uint32_t model)
 {
-    return static_cast<double>(view.inFlightQueriesOfModel(m, model)) /
-           view.speedFactor(m);
+    return [&view, model](size_t m) {
+        return static_cast<double>(view.inFlightQueriesOfModel(m, model)) /
+               view.speedFactor(m);
+    };
 }
 
 /**
@@ -293,17 +315,7 @@ class ModelAwareJsqPolicy final : public RoutingPolicy
     route(const Query& query, const ClusterView& view) override
     {
         modelReplicaSet(view, query.model, candidates);
-        size_t best = candidates.front();
-        double best_load = modelLoadSignal(view, best, query.model);
-        for (size_t i = 1; i < candidates.size(); i++) {
-            const double load =
-                modelLoadSignal(view, candidates[i], query.model);
-            if (load < best_load) {
-                best = candidates[i];
-                best_load = load;
-            }
-        }
-        return best;
+        return leastLoaded(listed(candidates), modelLoad(view, query.model));
     }
 
     RoutingKind kind() const override { return RoutingKind::ModelAwareJsq; }
@@ -323,17 +335,8 @@ class ModelAwarePo2cPolicy final : public RoutingPolicy
     route(const Query& query, const ClusterView& view) override
     {
         modelReplicaSet(view, query.model, candidates);
-        const int64_t n = static_cast<int64_t>(candidates.size());
-        if (n == 1)
-            return candidates.front();
-        const size_t a = static_cast<size_t>(rng.uniformInt(0, n - 1));
-        size_t b = static_cast<size_t>(rng.uniformInt(0, n - 2));
-        if (b >= a)
-            b++;    // sample without replacement
-        return modelLoadSignal(view, candidates[b], query.model) <
-                       modelLoadSignal(view, candidates[a], query.model)
-                   ? candidates[b]
-                   : candidates[a];
+        return twoChoices(rng, listed(candidates),
+                          modelLoad(view, query.model));
     }
 
     RoutingKind kind() const override { return RoutingKind::ModelAwarePo2c; }
@@ -424,8 +427,8 @@ class ShardAwarePolicy final : public RoutingPolicy
         }
         if (!candidates.empty()) {
             ShardTarget whole;
-            whole.machine =
-                static_cast<uint32_t>(leastLoaded(view, candidates));
+            whole.machine = static_cast<uint32_t>(
+                leastLoaded(listed(candidates), queueLoad(view)));
             whole.embFraction = 1.0;
             whole.leader = true;
             return {whole};

@@ -98,22 +98,14 @@ class ClusterView
     virtual size_t queuedWork(size_t m) const = 0;
 
     /**
-     * Candidate samples waiting in machine @p m's queues — the unit
-     * the admission controller (cluster/admission.hh) prices backlog
-     * in. Views without sample-level state fall back to queuedWork,
-     * which overestimates granularity but preserves ordering.
-     */
-    virtual size_t queuedSamples(size_t m) const { return queuedWork(m); }
-
-    /**
      * Estimated service seconds of everything queued on machine @p m,
      * priced by the machine's own cost model
      * (MachineEngine::queuedCostSeconds) — the only estimate that is
      * honest about a heterogeneous queue of whole queries and shard
-     * parts. Negative means unavailable; the admission controller
-     * then falls back to pricing queuedSamples itself.
+     * parts. The admission controller's backlog estimate reads it.
+     * Views without engine queues report none (0).
      */
-    virtual double queuedCostSeconds(size_t) const { return -1.0; }
+    virtual double queuedCostSeconds(size_t) const { return 0.0; }
 
     /**
      * Engine-exact committed second-visit work on machine @p m:
@@ -154,13 +146,11 @@ class ClusterView
     virtual bool allAccepting() const { return true; }
 
     // ------------------------------------------------- per-model view
-    // The multi-model tier's slice of the same signals, consumed by
-    // the model-aware policies and the per-model admission pricing.
-    // Single-model views keep the defaults: one model, served
-    // everywhere, whose slice IS the total.
-
-    /** Models in the tier's mix (1 on single-model tiers). */
-    virtual size_t numModels() const { return 1; }
+    // The multi-model tier's per-model signals: which machines serve a
+    // model (the model-aware policies' candidate sets and admission's
+    // per-model service pricing) and each model's in-flight share (the
+    // model-aware policies' load signal). Single-model views keep the
+    // defaults: one model, served everywhere, whose share IS the total.
 
     /** True when machine @p m has a binding for mix model @p model. */
     virtual bool
@@ -174,21 +164,6 @@ class ClusterView
     inFlightQueriesOfModel(size_t m, uint32_t) const
     {
         return inFlightQueries(m);
-    }
-
-    /** Mix model @p model's slice of queuedCostSeconds(@p m)
-     *  (negative means unavailable, like the total). */
-    virtual double
-    queuedCostSecondsOfModel(size_t m, uint32_t) const
-    {
-        return queuedCostSeconds(m);
-    }
-
-    /** Mix model @p model's slice of pendingJoinCostSeconds(@p m). */
-    virtual double
-    pendingJoinCostSecondsOfModel(size_t m, uint32_t) const
-    {
-        return pendingJoinCostSeconds(m);
     }
 };
 

@@ -15,7 +15,6 @@
 #include <limits>
 #include <map>
 
-#include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "bench/bench_common.hh"
 #include "cluster/autoscaler.hh"
@@ -87,21 +86,26 @@ deadlinePolicy(bool degrade = false)
     return overload;
 }
 
-/** A cluster view whose queue state is set by hand. */
+/** A cluster view whose queue state is set by hand: per machine, the
+ *  queued work items and their engine-priced cost in seconds. */
 class FakeView : public ClusterView
 {
   public:
     explicit FakeView(size_t machines)
-        : work_(machines, 0), samples_(machines, 0),
-          costs_(machines, -1.0), accepting_(machines, true)
+        : work_(machines, 0), costs_(machines, 0.0),
+          pendingJoin_(machines, 0.0), accepting_(machines, true)
     {
     }
 
     size_t numMachines() const override { return work_.size(); }
     size_t inFlightQueries(size_t m) const override { return work_[m]; }
     size_t queuedWork(size_t m) const override { return work_[m]; }
-    size_t queuedSamples(size_t m) const override { return samples_[m]; }
     double queuedCostSeconds(size_t m) const override { return costs_[m]; }
+    double
+    pendingJoinCostSeconds(size_t m) const override
+    {
+        return pendingJoin_[m];
+    }
     bool hasGpu(size_t) const override { return false; }
     double speedFactor(size_t) const override { return 1.0; }
     bool accepting(size_t m) const override { return accepting_[m]; }
@@ -113,23 +117,39 @@ class FakeView : public ClusterView
     }
 
     void
-    setQueue(size_t m, size_t requests, size_t samples)
+    setQueue(size_t m, size_t requests, double cost_seconds)
     {
         work_[m] = requests;
-        samples_[m] = samples;
+        costs_[m] = cost_seconds;
     }
 
     void setAccepting(size_t m, bool on) { accepting_[m] = on; }
 
-    /** Expose an engine-exact queue cost (-1 = viewless fallback). */
-    void setQueuedCost(size_t m, double cost) { costs_[m] = cost; }
+    void
+    setPendingJoin(size_t m, double seconds)
+    {
+        pendingJoin_[m] = seconds;
+    }
 
   private:
     std::vector<size_t> work_;
-    std::vector<size_t> samples_;
     std::vector<double> costs_;
+    std::vector<double> pendingJoin_;
     std::vector<bool> accepting_;
 };
+
+/**
+ * Queued cost of @p requests whole-query requests of @p batch samples
+ * each on @p machine, priced like MachineEngine::queuedCostSeconds: at
+ * full core contention, slowdown applied.
+ */
+double
+queueCost(const SimConfig& machine, size_t requests, size_t batch)
+{
+    return static_cast<double>(requests) *
+        (machine.cpu.requestSeconds(batch, machine.cpu.platform().cores) *
+         machine.slowdown);
+}
 
 // ------------------------------------------------------ decision rules
 
@@ -154,7 +174,7 @@ TEST(AdmissionUnit, DeadlineDropsWhenEveryMachineIsHopeless)
     FakeView view(2);
     // Queues deep enough that draining them alone blows the deadline.
     for (size_t m = 0; m < 2; m++)
-        view.setQueue(m, 100000, 100000 * 200);
+        view.setQueue(m, 100000, queueCost(cfg.machines[m], 100000, 200));
     const AdmissionDecision d = ctl.decide(Query{0, 0.0, 128}, view);
     EXPECT_FALSE(d.admit);
     EXPECT_EQ(d.servedSize, 0u);
@@ -170,7 +190,7 @@ TEST(AdmissionUnit, QueueDepthCapCountsOnlyAcceptingMachines)
     const ClusterConfig cfg = tier(2);
     const AdmissionController ctl(overload, cfg.machines);
     FakeView view(2);
-    view.setQueue(0, 50, 50 * 200);
+    view.setQueue(0, 50, queueCost(cfg.machines[0], 50, 200));
 
     // Machine 1 is idle: under the cap somewhere, admit.
     EXPECT_TRUE(ctl.decide(Query{0, 0.0, 100}, view).admit);
@@ -189,7 +209,7 @@ TEST(AdmissionUnit, DegradeShrinksMonotonicallyWithPressure)
     uint32_t last = size;
     FakeView view(1);
     for (size_t depth = 0; depth <= 400; depth += 25) {
-        view.setQueue(0, depth, depth * 150);
+        view.setQueue(0, depth, queueCost(cfg.machines[0], depth, 150));
         const AdmissionDecision d = ctl.decide(Query{0, 0.0, size}, view);
         if (!d.admit)
             break; // pressure past the drop point: nothing to serve
@@ -217,7 +237,7 @@ TEST(AdmissionUnit, DegradeRescuesAQueryTheDeadlineWouldDrop)
     bool rescued = false;
     FakeView view(1);
     for (size_t depth = 1; depth <= 2000 && !rescued; depth++) {
-        view.setQueue(0, depth, depth * 200);
+        view.setQueue(0, depth, queueCost(cfg.machines[0], depth, 200));
         const AdmissionDecision hard = strict.decide(q, view);
         const AdmissionDecision soft = lenient.decide(q, view);
         if (!hard.admit && soft.admit) {
@@ -234,8 +254,8 @@ TEST(AdmissionUnit, DecisionIsPure)
     const ClusterConfig cfg = tier(2);
     const AdmissionController ctl(deadlinePolicy(true), cfg.machines);
     FakeView view(2);
-    view.setQueue(0, 40, 40 * 180);
-    view.setQueue(1, 90, 90 * 180);
+    view.setQueue(0, 40, queueCost(cfg.machines[0], 40, 180));
+    view.setQueue(1, 90, queueCost(cfg.machines[1], 90, 180));
     const Query q{7, 1.25, 310};
     const AdmissionDecision first = ctl.decide(q, view);
     for (int i = 0; i < 10; i++) {
@@ -246,68 +266,42 @@ TEST(AdmissionUnit, DecisionIsPure)
     }
 }
 
-// --------------------------------------------- estimator fallback
+// ------------------------------------------------ backlog estimate
 
-/** LogSink is a bare function pointer, so capture through a global. */
-std::vector<std::string> g_capturedLogs;
-
-void
-captureLog(const std::string& line)
+TEST(AdmissionUnit, BacklogIsQueuedPlusPendingJoinCostOverCores)
 {
-    g_capturedLogs.push_back(line);
-}
-
-TEST(AdmissionUnit, ViewlessFallbackBoundedAgainstEngineAndWarnsOnce)
-{
-    // Queue real heterogeneous work on one engine, then price the
-    // same queue twice: through the engine-exact queuedCostSeconds
-    // the live views expose, and through the viewless mean-batch
-    // fallback a bare view forces. The fallback may diverge — that is
-    // why live views exist — but it must stay within 2x of truth, and
-    // the controller must say it is guessing, exactly once.
-    const SimConfig machine = cpuMachine();
-    MachineEngine engine(&machine, 0.0);
-    std::vector<EngineEvent> scheduled;
-    for (uint64_t i = 0; i < 120; i++) {
-        PartSpec spec;
-        spec.partIdx = i;
-        spec.samples = static_cast<uint32_t>(40 + (i * 37) % 216);
-        engine.admit(spec, 0.0, scheduled);
-        scheduled.clear();
+    const ClusterConfig cfg = tier(3);
+    const double cores =
+        static_cast<double>(cfg.machines[0].cpu.platform().cores);
+    const double cost[3] = {0.75, 0.125, 2.5};
+    const double pending[3] = {0.25, 0.0625, 1.5};
+    FakeView view(3);
+    for (size_t m = 0; m < 3; m++) {
+        view.setQueue(m, 10, cost[m]);
+        view.setPendingJoin(m, pending[m]);
     }
-    const double exact_cost = engine.queuedCostSeconds();
-    ASSERT_GT(exact_cost, 0.0) << "work must actually be queued";
 
-    const ClusterConfig cfg = tier(1, deadlinePolicy());
-    FakeView fallback_view(1);
-    fallback_view.setQueue(0, engine.queuedWork(),
-                           engine.queuedSamples());
-    FakeView exact_view(1);
-    exact_view.setQueue(0, engine.queuedWork(), engine.queuedSamples());
-    exact_view.setQueuedCost(0, exact_cost);
+    const AdmissionController whole(deadlinePolicy(), cfg.machines);
+    for (size_t m = 0; m < 3; m++)
+        EXPECT_EQ(whole.backlogSeconds(m, view),
+                  (cost[m] + pending[m]) / cores);
 
-    const LogSink prev = setLogSink(captureLog);
-    g_capturedLogs.clear();
-    const AdmissionController ctl(cfg.overload, cfg.machines);
-    const double exact = ctl.meanBacklogSeconds(exact_view);
-    EXPECT_TRUE(g_capturedLogs.empty())
-        << "the exact path must not warn";
-    const double approx = ctl.meanBacklogSeconds(fallback_view);
-    for (int i = 0; i < 5; i++) {
-        ctl.meanBacklogSeconds(fallback_view);
-        ctl.decide(Query{0, 0.0, 128}, fallback_view);
-    }
-    setLogSink(prev);
+    // The mean covers accepting machines only: take the most
+    // backlogged one out of the set.
+    view.setAccepting(2, false);
+    EXPECT_DOUBLE_EQ(whole.meanBacklogSeconds(view),
+                     (whole.backlogSeconds(0, view) +
+                      whole.backlogSeconds(1, view)) / 2.0);
+    EXPECT_DOUBLE_EQ(whole.queueWaitSeconds(view),
+                     whole.meanBacklogSeconds(view));
 
-    EXPECT_GT(exact, 0.0);
-    EXPECT_GE(approx, 0.5 * exact)
-        << "fallback underprices the queue more than 2x";
-    EXPECT_LE(approx, 2.0 * exact)
-        << "fallback overprices the queue more than 2x";
-
-    ASSERT_EQ(g_capturedLogs.size(), 1u)
-        << "fallback must warn exactly once per controller";
-    EXPECT_NE(g_capturedLogs[0].find("mean-batch"), std::string::npos);
+    // A sharded TwoStage tier waits twice at the worst accepting
+    // backlog: once for the fan-out parts, once for the dense phase.
+    const AdmissionController sharded(deadlinePolicy(), cfg.machines, 0.5,
+                                      NetworkConfig{}, JoinModel::TwoStage);
+    const double worst = std::max(sharded.backlogSeconds(0, view),
+                                  sharded.backlogSeconds(1, view));
+    EXPECT_EQ(sharded.queueWaitSeconds(view), worst + worst);
 }
 
 // ------------------------------------------- conservation with drops
@@ -359,8 +353,9 @@ TEST(AdmissionCluster, ConservationWithDropsPerMachineAndFleetWide)
 
         // Degrade log: shrunken, never grown, and only when enabled.
         ASSERT_EQ(r.overload.degradedQueries.size(), r.overload.degraded);
-        if (!degrade)
+        if (!degrade) {
             EXPECT_EQ(r.overload.degraded, 0u);
+        }
         for (const DegradeRecord& rec : r.overload.degradedQueries) {
             EXPECT_EQ(rec.originalSize, trace[rec.queryIdx].size);
             EXPECT_LT(rec.servedSize, rec.originalSize);

@@ -149,9 +149,7 @@ TEST(Colocation, NoCrossModelBatchEverForms)
     // Drive one MachineEngine directly with interleaved parts of two
     // models whose batch policies differ. Every part must split into
     // exactly ceil(samples / ownBatch) requests — a merged (cross-
-    // model) batch would change the request count of some part — and
-    // the per-model queue-cost books must tile the machine total at
-    // every step of the run.
+    // model) batch would change the request count of some part.
     const size_t batch0 = 64;
     const size_t batch1 = 16;
     const std::vector<ModelMixEntry> mix = {
@@ -178,15 +176,8 @@ TEST(Colocation, NoCrossModelBatchEverForms)
         engine.admit(part, 0.0, out);
         events.pushAll(out, 0);
     }
-    // With every part admitted at t=0 the queue is deep: the slices
-    // must account for the whole backlog with nothing unattributed.
+    // With every part admitted at t=0 the queue is deep.
     EXPECT_GT(engine.queuedCostSeconds(), 0.0);
-    // The slice books receive the identical addends as the total but
-    // in a different summation grouping, so they tile it to within
-    // ulp-scale rounding, not bit-exactly.
-    EXPECT_NEAR(engine.queuedCostSeconds(0) +
-                    engine.queuedCostSeconds(1),
-                engine.queuedCostSeconds(), 1e-9);
 
     std::vector<uint64_t> requests_of_part(2 * parts_per_model, 0);
     size_t finished = 0;
@@ -199,9 +190,6 @@ TEST(Colocation, NoCrossModelBatchEverForms)
         if (engine.cpuRequestDone(ev.slot, ev.partIdx, ev.time, out))
             finished++;
         events.pushAll(out, 0);
-        EXPECT_NEAR(engine.queuedCostSeconds(0) +
-                        engine.queuedCostSeconds(1),
-                    engine.queuedCostSeconds(), 1e-9);
     }
 
     EXPECT_EQ(finished, 2 * parts_per_model);
@@ -212,11 +200,9 @@ TEST(Colocation, NoCrossModelBatchEverForms)
     }
     EXPECT_EQ(engine.requestsDispatched(),
               parts_per_model * (requests0 + requests1));
-    // The push/pop-symmetric books reverse to zero up to ulp-scale
+    // The push/pop-symmetric book reverses to zero up to ulp-scale
     // floating-point residue (the accessor clamps negatives only).
     EXPECT_NEAR(engine.queuedCostSeconds(), 0.0, 1e-12);
-    EXPECT_NEAR(engine.queuedCostSeconds(0), 0.0, 1e-12);
-    EXPECT_NEAR(engine.queuedCostSeconds(1), 0.0, 1e-12);
 }
 
 // ----------------------------------------------- cluster conservation

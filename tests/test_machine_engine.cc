@@ -211,7 +211,6 @@ TEST(MachineEngine, CrashLosesLiveWorkAndResetsTheProcess)
     // Fresh-process state: nothing queued, nothing running, health
     // restored...
     EXPECT_EQ(engine.queuedWork(), 0u);
-    EXPECT_EQ(engine.queuedSamples(), 0u);
     EXPECT_EQ(engine.busyCores(), 0u);
     EXPECT_EQ(engine.partsInService(), 0u);
     EXPECT_DOUBLE_EQ(engine.queuedCostSeconds(), 0.0);

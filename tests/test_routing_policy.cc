@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "cluster/routing_policy.hh"
@@ -28,11 +29,16 @@ class FakeView final : public ClusterView
     size_t queuedWork(size_t m) const override { return queued[m]; }
     bool hasGpu(size_t m) const override { return gpu[m]; }
     double speedFactor(size_t m) const override { return speed[m]; }
+    bool allAccepting() const override { return reportAllAccepting; }
 
     std::vector<size_t> inFlight;
     std::vector<size_t> queued;
     std::vector<bool> gpu;
     std::vector<double> speed;
+
+    /** False forces policies off their all-accepting shortcut onto
+     *  their candidate-list path (every machine still accepts). */
+    bool reportAllAccepting = true;
 };
 
 Query
@@ -119,6 +125,45 @@ TEST(RoutingPolicy, PowerOfTwoAvoidsOverloadedMachine)
     // replacement rules out.
     for (uint64_t i = 0; i < 300; i++)
         EXPECT_NE(policy->route(query(i), view), 0u);
+}
+
+TEST(RoutingPolicy, AllAcceptingShortcutMatchesCandidateList)
+{
+    // Same-seed policies over two identical views, one reporting the
+    // all-accepting shortcut and one not: the shortcut builds no
+    // candidate list, the other path lists every machine, and the
+    // picks (and random draws) must agree at every decision.
+    std::vector<RoutingKind> kinds = allRoutingKinds();
+    kinds.push_back(RoutingKind::ModelAwareJsq);
+    kinds.push_back(RoutingKind::ModelAwarePo2c);
+    for (RoutingKind kind : kinds) {
+        SCOPED_TRACE(routingKindName(kind));
+        const RoutingSpec spec{kind, 41, 128};
+        const auto fast_policy = makeRoutingPolicy(spec);
+        const auto listed_policy = makeRoutingPolicy(spec);
+        FakeView fast(7);
+        FakeView listed(7);
+        listed.reportAllAccepting = false;
+        for (FakeView* view : {&fast, &listed}) {
+            view->speed = {1.0, 0.5, 2.0, 1.0, 1.5, 0.75, 1.0};
+            view->gpu = {false, true, false, false, true, false, false};
+        }
+        for (uint64_t i = 0; i < 400; i++) {
+            const Query q = query(i, static_cast<uint32_t>(1 + i * 37 % 300));
+            const size_t a = fast_policy->route(q, fast);
+            const size_t b = listed_policy->route(q, listed);
+            ASSERT_EQ(a, b) << "decision " << i;
+            // Load the pick and drain the tier now and then, so the
+            // load-aware policies see a changing, tie-prone signal.
+            for (FakeView* view : {&fast, &listed}) {
+                view->inFlight[a]++;
+                view->queued[a] = i % 3;
+                if (i % 50 == 49)
+                    std::fill(view->inFlight.begin(), view->inFlight.end(),
+                              0);
+            }
+        }
+    }
 }
 
 TEST(RoutingPolicy, SizeAwareSteersByThreshold)
