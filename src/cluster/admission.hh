@@ -54,8 +54,8 @@
  * *measured* sharded p99 settles near twice the deadline.
  *
  * Units: seconds throughout; sizes in candidate samples. Ownership:
- * the controller copies its config and calibration and borrows
- * nothing; decisions read only the view passed in. Determinism: see
+ * the controller copies its config and the tier's machine configs and
+ * borrows nothing; decisions read only the view passed in. Determinism: see
  * above — decide() is pure.
  */
 
@@ -358,7 +358,8 @@ class AdmissionController
   public:
     /**
      * @param config the overload policy (copied; asserted valid)
-     * @param machines the tier's machine configs, for calibration
+     * @param machines the tier's machine configs (copied; each query
+     *        is priced through its model's binding)
      * @param embeddingShare the fraction of a query's embedding work
      *        a single machine serves — 1.0 for whole-query tiers; a
      *        sharded tier passes its per-machine share so heavy
@@ -450,31 +451,9 @@ class AdmissionController
     double serviceAndHopSeconds(uint32_t size, const ClusterView& view,
                                 uint32_t model = 0) const;
 
-    /** Index of machine @p m's binding for @p model in the flattened
-     *  per-(machine, model) calibration vectors below. */
-    size_t
-    bindAt(size_t m, uint32_t model) const
-    {
-        return m * numModels_ + model;
-    }
-
-    /**
-     * Widest model count across the tier's machines (1 on every
-     * single-model tier, where the flattened calibration layout below
-     * degenerates to the historical one-entry-per-machine vectors).
-     */
-    size_t numModels_ = 1;
-
-    /** Each (machine, model) binding's own CPU cost model, flattened
-     *  [m * numModels_ + model] — the efficiency curves are too
-     *  nonlinear in batch for scalar calibration. Slots for models a
-     *  machine does not serve hold its primary binding as a
-     *  placeholder; bestServiceSeconds never consults them because it
-     *  filters candidates by ClusterView::servesModel. */
-    std::vector<CpuCostModel> cpu;
-
-    /** Per-machine slowdown factor (SimConfig::slowdown). */
-    std::vector<double> slowdown;
+    /** The tier's machine configs; estimates price each machine
+     *  through its own binding for the query's model. */
+    std::vector<SimConfig> machines_;
 
     /** Leader-side share of a query's embedding work, in (0, 1]. */
     double embShare = 1.0;
@@ -484,13 +463,6 @@ class AdmissionController
 
     /** Join model of the tier (prices the second visit iff TwoStage). */
     JoinModel joinModel = JoinModel::TwoStage;
-
-    /** Core count per machine (backlog drains across the pool). */
-    std::vector<double> cores;
-
-    /** Configured per-request batch per (machine, model) binding,
-     *  flattened like `cpu` (latency estimate). */
-    std::vector<double> batch;
 };
 
 } // namespace deeprecsys

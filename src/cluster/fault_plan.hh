@@ -244,15 +244,6 @@ struct FaultStats
 
     /** Trace indices of lost queries, in loss order. */
     std::vector<uint64_t> lostQueries;
-
-    /** Lost fraction of @p offered queries, in [0, 1]. */
-    double
-    lossRate(uint64_t offered) const
-    {
-        return offered > 0
-            ? static_cast<double>(lost) / static_cast<double>(offered)
-            : 0.0;
-    }
 };
 
 /**

@@ -32,22 +32,19 @@ colocatedMachine(const std::vector<ModelMixEntry>& mix,
                  const CpuPlatform& platform, uint64_t memory_bytes)
 {
     drs_assert(!mix.empty(), "a colocated machine needs a mix");
-    SimConfig machine{
-        CpuCostModel(ModelProfile::forModel(mix.front().id), platform),
-        std::nullopt, mix.front().policy};
-    if (mix.front().policy.gpuEnabled)
-        machine.gpu = GpuCostModel(ModelProfile::forModel(mix.front().id),
-                                   GpuPlatform::gtx1080Ti());
+    const auto bindingOf = [&platform](const ModelMixEntry& entry) {
+        ModelService b{
+            CpuCostModel(ModelProfile::forModel(entry.id), platform),
+            std::nullopt, entry.policy};
+        if (entry.policy.gpuEnabled)
+            b.gpu = GpuCostModel(ModelProfile::forModel(entry.id),
+                                 GpuPlatform::gtx1080Ti());
+        return b;
+    };
+    SimConfig machine{bindingOf(mix.front())};
     machine.memoryBytes = memory_bytes;
-    for (size_t k = 1; k < mix.size(); k++) {
-        ModelService co{
-            CpuCostModel(ModelProfile::forModel(mix[k].id), platform),
-            std::nullopt, mix[k].policy};
-        if (mix[k].policy.gpuEnabled)
-            co.gpu = GpuCostModel(ModelProfile::forModel(mix[k].id),
-                                  GpuPlatform::gtx1080Ti());
-        machine.coModels.push_back(std::move(co));
-    }
+    for (size_t k = 1; k < mix.size(); k++)
+        machine.coModels.push_back(bindingOf(mix[k]));
     return machine;
 }
 

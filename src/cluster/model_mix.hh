@@ -11,9 +11,9 @@
  * model on every machine) and into a sharded-tier table space where
  * each model's embedding tables live in their own namespace.
  *
- * Conventions: mix entry 0 is the machine's *primary* model — its
- * cost models and policy land in SimConfig's primary fields, so a
- * 1-entry mix produces exactly the machine a single-model config
+ * Conventions: mix entry k is served through SimConfig::binding(k);
+ * entry 0's binding is the SimConfig's own cost models and policy, so
+ * a 1-entry mix produces exactly the machine a single-model config
  * would, and the whole multi-model layer is bitwise invisible until a
  * second entry appears. Traffic fractions must sum to 1. A slaMs of 0
  * means "no per-model target" (the fleet-wide SLA still applies).
@@ -63,10 +63,9 @@ ModelMixEntry makeMixEntry(ModelId id, double traffic_fraction,
                            SlaTier tier = SlaTier::Medium);
 
 /**
- * One machine serving every model of @p mix on @p platform: entry 0
- * becomes the primary cpu/gpu/policy fields and every further entry a
- * co-model binding, all sharing the machine's core pool and
- * @p memory_bytes budget. A 1-entry mix reproduces the single-model
+ * One machine serving every model of @p mix on @p platform: entry k
+ * becomes the binding of mix model k (SimConfig::binding), all
+ * sharing the machine's core pool and @p memory_bytes budget. A 1-entry mix reproduces the single-model
  * machine config field for field. Entries with gpuEnabled policies
  * get a GTX-1080Ti-class accelerator model.
  */

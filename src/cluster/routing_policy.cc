@@ -367,20 +367,22 @@ class ShardAwarePolicy final : public RoutingPolicy
 {
   public:
     explicit ShardAwarePolicy(const ShardingConfig& sharding_in)
-        : sharding(sharding_in),
-          popularity(tablePopularity(sharding_in.tableSet.numTables,
-                                     sharding_in.tableSet.zipfS))
+        : sharding(sharding_in), spaces(sharding_in.models)
     {
         drs_assert(sharding.placement.feasible(),
                    "shard-aware routing needs a feasible placement");
-        // Multi-model namespaces: cache each model's own popularity
-        // weights (drawn in its local table space) once.
-        popularityOfModel.reserve(sharding.models.size());
-        for (const ModelTableSpace& space : sharding.models) {
+        // A single-model tier is the one-entry namespace: the whole
+        // table set at base 0.
+        if (spaces.empty())
+            spaces.push_back({sharding.tableSet, 0});
+        // Cache each namespace's popularity weights (drawn in its
+        // local table space) once.
+        popularity.reserve(spaces.size());
+        for (const ModelTableSpace& space : spaces) {
             drs_assert(static_cast<size_t>(space.base) + space.set.numTables
                            <= sharding.tableSet.numTables,
                        "model table namespace exceeds the combined space");
-            popularityOfModel.push_back(
+            popularity.push_back(
                 tablePopularity(space.set.numTables, space.set.zipfS));
         }
     }
@@ -399,20 +401,14 @@ class ShardAwarePolicy final : public RoutingPolicy
     {
         drs_assert(sharding.placement.numMachines() == view.numMachines(),
                    "placement machine count mismatch");
-        if (sharding.models.empty()) {
-            // Single-model tier: the historical draw, verbatim.
-            tablesOfQuery(query.id, sharding.tableSet, popularity, tables);
-        } else {
-            // Multi-model tier: draw in the query's own model's local
-            // table space, then shift into the combined id space.
-            drs_assert(query.model < sharding.models.size(),
-                       "query's model has no table namespace");
-            const ModelTableSpace& space = sharding.models[query.model];
-            tablesOfQuery(query.id, space.set,
-                          popularityOfModel[query.model], tables);
-            for (uint32_t& t : tables)
-                t += space.base;
-        }
+        // Draw in the query's own model's local table space, then
+        // shift into the combined id space.
+        drs_assert(query.model < spaces.size(),
+                   "query's model has no table namespace");
+        const ModelTableSpace& space = spaces[query.model];
+        tablesOfQuery(query.id, space.set, popularity[query.model], tables);
+        for (uint32_t& t : tables)
+            t += space.base;
         if (obs_)
             obs_->onTablesTouched(tables);
         buildMasks(view);
@@ -555,9 +551,10 @@ class ShardAwarePolicy final : public RoutingPolicy
     }
 
     const ShardingConfig& sharding;
-    std::vector<double> popularity;    ///< cached Zipf weights
-    /** Per-model weights of a multi-model tier (local table spaces). */
-    std::vector<std::vector<double>> popularityOfModel;
+    /** Per-model table namespaces (one entry on a single-model tier). */
+    std::vector<ModelTableSpace> spaces;
+    /** Per-namespace Zipf weights over its local table space. */
+    std::vector<std::vector<double>> popularity;
     obs::RunObserver* obs_ = nullptr;  ///< per-table load reporting
 
     // Per-route scratch, reused across calls.

@@ -8,6 +8,46 @@
 
 namespace deeprecsys {
 
+namespace {
+
+/** Where a hill climb peaked. */
+struct ClimbPeak
+{
+    size_t knob = 0;             ///< knob value at the peak
+    double qps = -1.0;           ///< its achievable QPS (< 0: none)
+    QpsSearchResult atBest;      ///< the search result there
+};
+
+/**
+ * Hill climbing per Section IV-C: visit knob values first,
+ * next(first), ... while <= last, appending each (knob, QPS) to
+ * @p curve. The peak moves while the achievable QPS improves by more
+ * than the slack margin; a second strike confirms the peak, so a
+ * single noisy plateau step does not end the climb early.
+ */
+template <typename Evaluate, typename Next>
+ClimbPeak
+hillClimb(size_t first, size_t last, Next next, Evaluate evaluate,
+          std::vector<TuningPoint>& curve)
+{
+    ClimbPeak peak;
+    size_t strikes = 0;
+    for (size_t knob = first; knob <= last; knob = next(knob)) {
+        const QpsSearchResult r = evaluate(knob);
+        curve.push_back({static_cast<double>(knob), r.maxQps});
+        if (r.maxQps > peak.qps * (1.0 + DeepRecSched::climbSlack) ||
+            peak.qps < 0.0) {
+            peak = {knob, r.maxQps, r};
+            strikes = 0;
+        } else if (++strikes >= 2) {
+            break;  // past the peak
+        }
+    }
+    return peak;
+}
+
+} // namespace
+
 size_t
 DeepRecSched::staticBaselineBatch(uint32_t max_query_size, size_t cores)
 {
@@ -31,36 +71,16 @@ TuningResult
 DeepRecSched::tuneCpu(const DeepRecInfra& infra, double sla_ms)
 {
     TuningResult result;
-    SchedulerPolicy policy;
-    policy.gpuEnabled = false;
-
-    double best_qps = -1.0;
-    size_t best_batch = 1;
-    QpsSearchResult best;
-
-    // Hill climbing from unit batch, doubling, per Section IV-C: the
-    // batch grows while the achievable QPS keeps improving by at
-    // least the slack margin. A second strike confirms the peak so a
-    // single noisy plateau step does not end the climb early.
-    size_t strikes = 0;
-    for (size_t batch = 1; batch <= maxBatch; batch *= 2) {
-        policy.perRequestBatch = batch;
-        const QpsSearchResult r = infra.maxQps(policy, sla_ms);
-        result.batchCurve.push_back(
-            {static_cast<double>(batch), r.maxQps});
-        if (r.maxQps > best_qps * (1.0 + climbSlack) || best_qps < 0.0) {
-            best_qps = r.maxQps;
-            best_batch = batch;
-            best = r;
-            strikes = 0;
-        } else if (++strikes >= 2) {
-            break;  // past the peak
-        }
-    }
-
-    result.policy = policy;
-    result.policy.perRequestBatch = best_batch;
-    result.atBest = best;
+    result.policy.gpuEnabled = false;
+    const ClimbPeak peak = hillClimb(
+        1, maxBatch, [](size_t batch) { return batch * 2; },
+        [&](size_t batch) {
+            result.policy.perRequestBatch = batch;
+            return infra.maxQps(result.policy, sla_ms);
+        },
+        result.batchCurve);
+    result.policy.perRequestBatch = peak.knob;
+    result.atBest = peak.atBest;
     return result;
 }
 
@@ -82,39 +102,29 @@ DeepRecSched::tuneGpu(const DeepRecInfra& infra, double sla_ms)
     SchedulerPolicy policy = cpu.policy;
     policy.gpuEnabled = true;
 
-    double best_qps = -1.0;
-    uint32_t best_threshold = 1;
-    QpsSearchResult best;
-
-    uint32_t threshold = 1;
-    size_t strikes = 0;
-    while (threshold <= QuerySizeDistribution::maxSize) {
-        policy.gpuQueryThreshold = threshold;
-        const QpsSearchResult r = infra.maxQps(policy, sla_ms);
-        result.thresholdCurve.push_back(
-            {static_cast<double>(threshold), r.maxQps});
-        if (r.maxQps > best_qps * (1.0 + climbSlack) || best_qps < 0.0) {
-            best_qps = r.maxQps;
-            best_threshold = threshold;
-            best = r;
-            strikes = 0;
-        } else if (++strikes >= 2) {
-            break;
-        }
-        // Geometric walk with a floor step of 16 sizes.
-        threshold = std::max<uint32_t>(threshold + 16,
-            static_cast<uint32_t>(std::lround(threshold * 1.5)));
-    }
+    const ClimbPeak peak = hillClimb(
+        1, QuerySizeDistribution::maxSize,
+        [](size_t threshold) {
+            // Geometric walk with a floor step of 16 sizes.
+            return std::max<size_t>(
+                threshold + 16,
+                static_cast<size_t>(std::lround(threshold * 1.5)));
+        },
+        [&](size_t threshold) {
+            policy.gpuQueryThreshold = static_cast<uint32_t>(threshold);
+            return infra.maxQps(policy, sla_ms);
+        },
+        result.thresholdCurve);
 
     // The CPU-only configuration remains a candidate: if keeping all
     // queries on cores beats every offload split, use it.
-    if (cpu.qps() > best_qps) {
+    if (cpu.qps() > peak.qps) {
         result.policy = cpu.policy;
         result.atBest = cpu.atBest;
     } else {
         result.policy = policy;
-        result.policy.gpuQueryThreshold = best_threshold;
-        result.atBest = best;
+        result.policy.gpuQueryThreshold = static_cast<uint32_t>(peak.knob);
+        result.atBest = peak.atBest;
     }
     return result;
 }

@@ -34,10 +34,9 @@ struct Query
     /**
      * Which model of the serving tier's mix this query targets: an
      * index into ClusterConfig::modelMix (NOT the ModelId enum, so a
-     * mix may serve two variants of the same Table-1 model). Single-
-     * model traffic is all 0 — the historical path — and a machine's
-     * primary cost/policy fields serve model 0, so the default is
-     * bitwise invisible.
+     * mix may serve two variants of the same Table-1 model). Each
+     * machine serves it through SimConfig::binding(model); single-
+     * model traffic is all 0, the one-entry mix.
      */
     uint32_t model = 0;
 };

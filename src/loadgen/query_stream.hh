@@ -167,12 +167,6 @@ class MixedTraceTemplate
     size_t numModels() const { return fractions_.size(); }
     const std::vector<double>& fractions() const { return fractions_; }
 
-    /** Model k's underlying single-model template. */
-    const TraceTemplate& templateOf(uint32_t model) const
-    {
-        return perModel[model];
-    }
-
   private:
     std::vector<double> fractions_;
     std::vector<TraceTemplate> perModel;

@@ -1,6 +1,9 @@
 #include "trace_io.hh"
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -10,6 +13,11 @@ namespace deeprecsys {
 namespace {
 constexpr const char* traceMagic = "deeprecsys-trace";
 constexpr const char* traceVersion = "v1";
+
+// Queries reserved up front at most: the header's count is untrusted
+// until the body bears it out, and the vector grows past this as
+// queries actually parse.
+constexpr size_t maxReservedQueries = size_t{1} << 20;
 } // namespace
 
 void
@@ -47,14 +55,20 @@ readTrace(std::istream& is)
         drs_fatal("unsupported trace version: ", version);
 
     QueryTrace trace;
-    trace.reserve(count);
+    trace.reserve(std::min(count, maxReservedQueries));
     double prev_arrival = -1.0;
     for (size_t i = 0; i < count; i++) {
         Query q;
-        if (!(is >> q.id >> q.arrivalSeconds >> q.size))
+        // Read the size signed, so a negative size is rejected rather
+        // than wrapped into a huge unsigned one.
+        int64_t size = 0;
+        if (!(is >> q.id >> q.arrivalSeconds >> size))
             drs_fatal("trace truncated at query ", i, " of ", count);
-        if (q.size < 1)
-            drs_fatal("trace query ", i, " has zero size");
+        if (size < 1 || size > std::numeric_limits<uint32_t>::max())
+            drs_fatal("trace query ", i, " has size ", size,
+                      " outside [1, ", std::numeric_limits<uint32_t>::max(),
+                      "]");
+        q.size = static_cast<uint32_t>(size);
         if (q.arrivalSeconds < prev_arrival)
             drs_fatal("trace arrivals not sorted at query ", i);
         prev_arrival = q.arrivalSeconds;

@@ -161,7 +161,6 @@ class RunObserver
 
     bool tracing() const { return cfg_.traceSpans; }
     bool metricsOn() const { return cfg_.metrics; }
-    bool attributionOn() const { return cfg_.attribution; }
 
     /** True when query @p idx is span-traced this run. */
     bool

@@ -16,20 +16,18 @@ MachineEngine::MachineEngine(const SimConfig* config, double start_time)
 void
 MachineEngine::validate(const SimConfig& config)
 {
-    drs_assert(config.policy.perRequestBatch >= 1,
-               "per-request batch must be >= 1");
     drs_assert(config.slowdown > 0.0, "slowdown must be positive");
-    if (config.policy.gpuEnabled)
-        drs_assert(config.gpu.has_value(), "GPU policy without a GPU model");
-    for (const ModelService& co : config.coModels) {
-        drs_assert(co.policy.perRequestBatch >= 1,
-                   "co-model per-request batch must be >= 1");
-        if (co.policy.gpuEnabled)
-            drs_assert(co.gpu.has_value(),
-                       "co-model GPU policy without a GPU model");
+    for (uint32_t k = 0; k < config.numModels(); k++) {
+        const ModelService& b = config.binding(k);
+        drs_assert(b.policy.perRequestBatch >= 1, "model ", k,
+                   ": per-request batch must be >= 1");
+        if (b.policy.gpuEnabled)
+            drs_assert(b.gpu.has_value(), "model ", k,
+                       ": GPU policy without a GPU model");
         // Every binding shares this machine's physical core pool.
-        drs_assert(co.cpu.platform().cores == config.cpu.platform().cores,
-                   "co-model platform core count differs from the machine");
+        drs_assert(b.cpu.platform().cores == config.cpu.platform().cores,
+                   "model ", k,
+                   ": platform core count differs from the machine");
     }
 }
 
@@ -107,9 +105,8 @@ MachineEngine::queuedRequestCost(const PartBook& book, uint32_t batch) const
     // enough in backlog for this estimate to matter. The expression is
     // evaluated once at enqueue and once at dequeue with identical
     // inputs, so the running sum reverses to the same double. Priced
-    // through the part's own model binding (model 0 = the primary
-    // fields, the historical arithmetic verbatim).
-    const CpuCostModel& cpu = cpuOf(book.model);
+    // through the part's own model binding.
+    const CpuCostModel& cpu = cfg->binding(book.model).cpu;
     const size_t cores = cfg->cpu.platform().cores;
     return (book.whole
                 ? cpu.requestSeconds(batch, cores)
@@ -122,7 +119,7 @@ MachineEngine::queuedRequestCost(const PartBook& book, uint32_t batch) const
 double
 MachineEngine::queuedGpuCost(const PartBook& book) const
 {
-    return gpuOf(book.model)->querySeconds(book.samples) * cfg->slowdown;
+    return cfg->binding(book.model).gpu->querySeconds(book.samples) * cfg->slowdown;
 }
 
 double
@@ -140,7 +137,7 @@ MachineEngine::joinPhaseCostSeconds(uint32_t samples, uint32_t model) const
     book.whole = false;
     book.model = model;
     const uint32_t batch = static_cast<uint32_t>(
-        std::min<size_t>(policyOf(model).perRequestBatch, samples));
+        std::min<size_t>(cfg->binding(model).policy.perRequestBatch, samples));
     double cost = 0.0;
     uint32_t remaining = samples;
     while (remaining > 0) {
@@ -168,7 +165,7 @@ MachineEngine::dispatchCpu(double now, std::vector<EngineEvent>& out)
         // (plus the dense stacks when they lead). The contention term
         // sees how many cores are busy at dispatch, this one included.
         // Service is priced through the part's own model binding.
-        const CpuCostModel& cpu = cpuOf(book.model);
+        const CpuCostModel& cpu = cfg->binding(book.model).cpu;
         const double service =
             (book.whole
                  ? cpu.requestSeconds(req.batch, busyCores_)
@@ -195,7 +192,7 @@ MachineEngine::startGpu(double now, std::vector<EngineEvent>& out)
     if (book.firstStart < 0)
         book.firstStart = now;
     const double service =
-        gpuOf(book.model)->querySeconds(book.samples) * cfg->slowdown *
+        cfg->binding(book.model).gpu->querySeconds(book.samples) * cfg->slowdown *
         serviceFactor_;
     out.push_back({now + service, EngineEvent::Kind::GpuQuery,
                    book.partIdx, slot});
@@ -224,8 +221,8 @@ MachineEngine::admit(const PartSpec& part, double now,
         totalSamples_ += part.samples;
     // Batch formation and offload follow the part's own model
     // binding; the query is the batch-split source, so requests never
-    // mix models (model 0 = the primary policy, historical path).
-    const SchedulerPolicy& sched = policyOf(part.model);
+    // mix models.
+    const SchedulerPolicy& sched = cfg->binding(part.model).policy;
     const bool offload = part.whole && sched.gpuEnabled &&
         part.samples >= sched.gpuQueryThreshold;
     if (offload) {

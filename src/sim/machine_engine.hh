@@ -61,11 +61,9 @@ struct SchedulerPolicy
 };
 
 /**
- * One co-served model's machine-side binding on a multi-model tier:
- * its own cost models and scheduler policy. Entry k of
- * SimConfig::coModels serves mix model k+1; the SimConfig's primary
- * cpu/gpu/policy fields serve model 0 (the historical single-model
- * path, kept verbatim so single-model arithmetic is untouched).
+ * One served model's machine-side binding: its own cost models and
+ * scheduler policy. A machine holds one binding per mix model it
+ * serves; SimConfig::binding maps a mix model to its binding.
  */
 struct ModelService
 {
@@ -74,13 +72,14 @@ struct ModelService
     SchedulerPolicy policy;
 };
 
-/** Configuration of one simulated serving machine. */
-struct SimConfig
+/**
+ * Configuration of one simulated serving machine. The base
+ * ModelService is the binding of mix model 0 (the only one on a
+ * single-model machine), so `SimConfig{cpu, gpu, policy, ...}`
+ * brace-initializes it directly.
+ */
+struct SimConfig : ModelService
 {
-    CpuCostModel cpu;
-    std::optional<GpuCostModel> gpu;
-    SchedulerPolicy policy;
-
     /** Fraction of leading queries excluded from statistics. */
     double warmupFraction = 0.05;
 
@@ -96,19 +95,25 @@ struct SimConfig
     uint64_t memoryBytes = 0;
 
     /**
-     * Additional models this machine co-serves (multi-model tiers):
-     * binding k serves mix model k+1. Empty on every single-model
-     * machine — the historical configuration, bitwise untouched. All
+     * Bindings of the further models this machine co-serves: entry k
+     * serves mix model k+1. Empty on every single-model machine. All
      * bindings share this machine's core pool, slowdown, and memory
      * budget; only pricing and batch policy are per-model.
      */
     std::vector<ModelService> coModels = {};
 
-    /** Models this machine serves (primary + co-served bindings). */
+    /** Models this machine serves (one binding each). */
     size_t numModels() const { return 1 + coModels.size(); }
 
     /** True when mix model @p model has a binding on this machine. */
     bool servesModel(uint32_t model) const { return model < numModels(); }
+
+    /** The binding that serves mix model @p model (servesModel). */
+    const ModelService&
+    binding(uint32_t model) const
+    {
+        return model == 0 ? *this : coModels[model - 1];
+    }
 };
 
 /** What one admitted part asks of its machine. */
@@ -134,12 +139,12 @@ struct PartSpec
     bool whole = true;
 
     /**
-     * Mix model this part belongs to (index into the machine's model
-     * bindings; 0 = the primary model, the historical default). The
-     * engine prices, batch-splits, and offloads the part through that
-     * model's own binding, and never merges requests across models —
-     * each query is its own batch-split source, so a batch is
-     * model-homogeneous by construction.
+     * Mix model this part belongs to (SimConfig::binding index; 0 on
+     * a single-model machine). The engine prices, batch-splits, and
+     * offloads the part through that model's own binding, and never
+     * merges requests across models — each query is its own
+     * batch-split source, so a batch is model-homogeneous by
+     * construction.
      */
     uint32_t model = 0;
 };
@@ -352,28 +357,6 @@ class MachineEngine
 
     void dispatchCpu(double now, std::vector<EngineEvent>& out);
     void startGpu(double now, std::vector<EngineEvent>& out);
-
-    // Model-binding lookups. Model 0 returns the SimConfig's primary
-    // fields — the very same objects the single-model engine always
-    // priced through, so the model-0 arithmetic is bit-identical to
-    // the pre-colocation engine.
-    const CpuCostModel&
-    cpuOf(uint32_t model) const
-    {
-        return model == 0 ? cfg->cpu : cfg->coModels[model - 1].cpu;
-    }
-
-    const std::optional<GpuCostModel>&
-    gpuOf(uint32_t model) const
-    {
-        return model == 0 ? cfg->gpu : cfg->coModels[model - 1].gpu;
-    }
-
-    const SchedulerPolicy&
-    policyOf(uint32_t model) const
-    {
-        return model == 0 ? cfg->policy : cfg->coModels[model - 1].policy;
-    }
 
     /**
      * Estimated service seconds of a queued CPU request of @p batch

@@ -265,6 +265,43 @@ TEST(MachineEngineDeath, RejectsBadConfigs)
     EXPECT_DEATH(MachineEngine::validate(gpu_less), "GPU");
 }
 
+/** A valid machine co-serving one further model through @p co. */
+SimConfig
+coServingConfig(const ModelService& co)
+{
+    SimConfig cfg = engineConfig();
+    cfg.coModels.push_back(co);
+    return cfg;
+}
+
+TEST(MachineEngineDeath, RejectsCoModelWithZeroBatch)
+{
+    ModelService co = engineConfig();
+    co.policy.perRequestBatch = 0;
+    EXPECT_DEATH(MachineEngine::validate(coServingConfig(co)),
+                 "model 1: per-request batch");
+}
+
+TEST(MachineEngineDeath, RejectsCoModelGpuPolicyWithoutGpu)
+{
+    ModelService co = engineConfig();
+    co.policy.gpuEnabled = true;
+    EXPECT_DEATH(MachineEngine::validate(coServingConfig(co)),
+                 "model 1: GPU policy without a GPU model");
+}
+
+TEST(MachineEngineDeath, RejectsCoModelOnAnotherCoreCount)
+{
+    // Skylake has 40 cores, Broadwell 28: the binding cannot share the
+    // machine's core pool.
+    const ModelService co{
+        CpuCostModel(ModelProfile::forModel(ModelId::DlrmRmc2),
+                     CpuPlatform::broadwell()),
+        std::nullopt, SchedulerPolicy{}};
+    EXPECT_DEATH(MachineEngine::validate(coServingConfig(co)),
+                 "model 1: platform core count differs");
+}
+
 TEST(MachineEngineDeath, RejectsStaleAndUnknownSlots)
 {
     const SimConfig cfg = engineConfig();

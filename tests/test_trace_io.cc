@@ -89,5 +89,28 @@ TEST(TraceIoDeath, RejectsUnknownVersion)
                 "version");
 }
 
+TEST(TraceIoDeath, HugeHeaderCountIsTruncatedNotAnAllocation)
+{
+    // The count is untrusted: a header claiming 2^64 - 1 queries over
+    // a one-query body must fail as truncated, not as a huge reserve.
+    std::stringstream buffer(
+        "deeprecsys-trace v1 18446744073709551615\n0 0.0 10\n");
+    EXPECT_EXIT(readTrace(buffer), ::testing::ExitedWithCode(1),
+                "truncated at query 1");
+}
+
+TEST(TraceIoDeath, RejectsSizesOutsideUint32)
+{
+    std::stringstream negative("deeprecsys-trace v1 1\n0 0.0 -1\n");
+    EXPECT_EXIT(readTrace(negative), ::testing::ExitedWithCode(1),
+                "query 0 has size -1 outside");
+    std::stringstream zero("deeprecsys-trace v1 1\n0 0.0 0\n");
+    EXPECT_EXIT(readTrace(zero), ::testing::ExitedWithCode(1),
+                "query 0 has size 0 outside");
+    std::stringstream wide("deeprecsys-trace v1 1\n0 0.0 4294967296\n");
+    EXPECT_EXIT(readTrace(wide), ::testing::ExitedWithCode(1),
+                "has size 4294967296 outside");
+}
+
 } // namespace
 } // namespace deeprecsys
