@@ -42,7 +42,6 @@
  * DRS_THREADS value.
  */
 
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -73,16 +72,16 @@ main(int argc, char** argv)
     std::string json_path;
     std::string trace_path;
     std::string metrics_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc)
-            metrics_path = argv[++i];
-        else
-            json_path = argv[i];
-    }
+    bench::CommandLine("autoscale_diurnal",
+                       "Machine-hours and SLA minutes of each scaling "
+                       "policy over a compressed diurnal day.")
+        .flag("--smoke", smoke, "a shorter day at one peak-to-trough ratio")
+        .option("--trace", trace_path, "FILE",
+                "write the instrumented day's Chrome trace-event JSON")
+        .option("--metrics", metrics_path, "FILE",
+                "write the instrumented day's windowed metrics JSON")
+        .positional("JSON", json_path, "write the results table as JSON")
+        .parse(argc, argv);
 
     const double sla_ms = 100.0;
     const double peak_qps = 40000.0;

@@ -49,7 +49,6 @@
  */
 
 #include <array>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -141,14 +140,14 @@ main(int argc, char** argv)
     bool smoke = false;
     std::string json_path;
     std::string trace_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else
-            json_path = argv[i];
-    }
+    bench::CommandLine("chaos_availability",
+                       "Availability and tail of a sharded tier under "
+                       "crash, gray and network fault injection.")
+        .flag("--smoke", smoke, "a shorter trace per grid cell")
+        .option("--trace", trace_path, "FILE",
+                "write the traced chaos run's Chrome trace-event JSON")
+        .positional("JSON", json_path, "write the results table as JSON")
+        .parse(argc, argv);
 
     const double qps = 1000.0;
     const size_t queries = smoke ? 6000 : 30000;

@@ -14,6 +14,7 @@
  */
 
 #include <fstream>
+#include <string>
 
 #include "bench/bench_common.hh"
 #include "cluster/cluster_sim.hh"
@@ -55,6 +56,13 @@ mixedCluster()
 int
 main(int argc, char** argv)
 {
+    std::string json_path;
+    bench::CommandLine("cluster_routing_sweep",
+                       "Fleet tail of each routing policy at equal "
+                       "offered load.")
+        .positional("JSON", json_path, "write the results table as JSON")
+        .parse(argc, argv);
+
     printBanner(std::cout,
                 "Cluster routing sweep: fleet tail vs policy at equal"
                 " offered load");
@@ -111,10 +119,10 @@ main(int argc, char** argv)
                  " keeps the heavy tail of Figure 5 on accelerator"
                  " machines.\n";
 
-    if (argc > 1) {
-        std::ofstream json(argv[1]);
+    if (!json_path.empty()) {
+        std::ofstream json(json_path);
         table.printJson(json);
-        std::cout << "wrote " << argv[1] << "\n";
+        std::cout << "wrote " << json_path << "\n";
     }
     return 0;
 }

@@ -39,7 +39,6 @@
  * identical at every DRS_THREADS value.
  */
 
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -67,12 +66,12 @@ main(int argc, char** argv)
 {
     bool smoke = false;
     std::string json_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            json_path = argv[i];
-    }
+    bench::CommandLine("colocation_sweep",
+                       "One consolidated multi-model tier versus "
+                       "dedicated per-model tiers.")
+        .flag("--smoke", smoke, "shorter planner evaluation traces")
+        .positional("JSON", json_path, "write the results table as JSON")
+        .parse(argc, argv);
 
     // One row per (scenario, model) cell of both sections; written as
     // the bench JSON for the serial-vs-parallel CI byte diff.

@@ -25,7 +25,6 @@
  * single run is single-threaded by design).
  */
 
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -55,16 +54,16 @@ main(int argc, char** argv)
     std::string json_path;
     std::string trace_path;
     std::string metrics_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc)
-            metrics_path = argv[++i];
-        else
-            json_path = argv[i];
-    }
+    bench::CommandLine("obs_timeline",
+                       "One observed reactive elastic day: control "
+                       "timeline and latency attribution.")
+        .flag("--smoke", smoke, "a shorter day")
+        .option("--trace", trace_path, "FILE",
+                "write the run's Chrome trace-event JSON")
+        .option("--metrics", metrics_path, "FILE",
+                "write the run's windowed metrics JSON")
+        .positional("JSON", json_path, "write the timeline table as JSON")
+        .parse(argc, argv);
 
     const double sla_ms = 100.0;
     const double peak_qps = 8000.0;

@@ -42,7 +42,6 @@
  * at every DRS_THREADS value.
  */
 
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -148,12 +147,12 @@ main(int argc, char** argv)
 {
     bool smoke = false;
     std::string json_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            json_path = argv[i];
-    }
+    bench::CommandLine("overload_goodput",
+                       "Goodput, shed rate and tail versus offered load "
+                       "under each admission policy.")
+        .flag("--smoke", smoke, "a shorter load grid and traces")
+        .positional("JSON", json_path, "write the results table as JSON")
+        .parse(argc, argv);
 
     const double sla_ms = 100.0;
     const double deadline_s = sla_ms / 1e3;

@@ -210,16 +210,17 @@ main(int argc, char** argv)
     bool smoke = false;
     size_t threads = ThreadPool::defaultThreadCount();
     std::string out_path = "BENCH_sim_perf.json";
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--threads" && i + 1 < argc) {
-            threads = static_cast<size_t>(std::stoul(argv[++i]));
-        } else {
-            out_path = arg;
-        }
-    }
+    CommandLine("perf_engine",
+                "Wall time and events/s of the simulation runtime, "
+                "serial and parallel.")
+        .flag("--smoke", smoke, "one repeat per scenario")
+        .number("--threads", threads, 1024, "N",
+                "pool threads of the parallel runs (default: the "
+                "host's; 0 means 1)")
+        .positional("JSON", out_path,
+                    "where to write the report (default "
+                    "BENCH_sim_perf.json)")
+        .parse(argc, argv);
     if (threads < 1)
         threads = 1;
     const size_t repeats = smoke ? 1 : 3;

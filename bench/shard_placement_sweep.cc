@@ -30,6 +30,7 @@
  */
 
 #include <fstream>
+#include <string>
 
 #include "bench/bench_common.hh"
 #include "cluster/cluster_sim.hh"
@@ -67,6 +68,13 @@ tierWithBudget(double budget_gb)
 int
 main(int argc, char** argv)
 {
+    std::string json_path;
+    bench::CommandLine("shard_placement_sweep",
+                       "Memory per machine versus fleet tail for each "
+                       "embedding-shard placement strategy.")
+        .positional("JSON", json_path, "write the results table as JSON")
+        .parse(argc, argv);
+
     printBanner(std::cout,
                 "Shard placement sweep: memory per machine vs fleet"
                 " p99 (DLRM-RMC2, 8 machines, shard-aware routing)");
@@ -168,10 +176,10 @@ main(int argc, char** argv)
                  " overlap: the fan-out tax the optimistic model"
                  " under-reported, which replication also avoids.\n";
 
-    if (argc > 1) {
-        std::ofstream json(argv[1]);
+    if (!json_path.empty()) {
+        std::ofstream json(json_path);
         table.printJson(json);
-        std::cout << "wrote " << argv[1] << "\n";
+        std::cout << "wrote " << json_path << "\n";
     }
     return 0;
 }

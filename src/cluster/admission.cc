@@ -50,8 +50,6 @@ AdmissionController::AdmissionController(
     if (cfg.admission == AdmissionKind::Deadline || cfg.degrade)
         drs_assert(cfg.deadlineSeconds > 0.0,
                    "deadline admission/degrade needs deadlineSeconds > 0");
-    drs_assert(cfg.priorityClasses >= 1,
-               "at least one priority class is required");
     if (cfg.priorityClasses > 1) {
         drs_assert(cfg.priorityMargin >= 0.0,
                    "priorityMargin cannot be negative");
@@ -258,9 +256,7 @@ AdmissionController::decide(const Query& query,
     // classes are always shed and degraded first (pointwise monotone
     // — same query and view, lower class dropped implies higher class
     // index dropped).
-    const uint32_t cls = cfg.priorityClasses > 1
-        ? std::min(query.priorityClass, cfg.priorityClasses - 1)
-        : 0;
+    const uint32_t cls = cfg.effectiveClass(query);
     const double margin = cfg.priorityMargin * static_cast<double>(cls);
 
     // The projected queue wait of the critical path is shared by both

@@ -62,6 +62,7 @@
 #ifndef DRS_CLUSTER_ADMISSION_HH
 #define DRS_CLUSTER_ADMISSION_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -115,8 +116,9 @@ struct OverloadConfig
     /**
      * The per-query completion budget in seconds. Deadline admission
      * drops queries estimated to miss it; goodput counts completions
-     * within it. When 0, no goodput/deadline accounting happens at
-     * all (the historical result fields are unchanged either way).
+     * within it. When 0, the goodput fields of the totals and of every
+     * class slice stay zero; the count fields and the per-class books
+     * are kept either way.
      */
     double deadlineSeconds = 0.0;
 
@@ -154,7 +156,7 @@ struct OverloadConfig
      * historical default) is classless. With more, deadline admission
      * tightens lower-class budgets and degrade shrinks lower classes
      * earlier — so at any load, class c+1's shed and degrade rates
-     * are at least class c's, never the reverse.
+     * are at least class c's, never the reverse. Must be >= 1.
      */
     uint32_t priorityClasses = 1;
 
@@ -206,6 +208,14 @@ struct OverloadConfig
     {
         return admission != AdmissionKind::None || degrade;
     }
+
+    /** The class @p query is judged and booked under: its tag clamped
+     *  to the configured count. */
+    uint32_t
+    effectiveClass(const Query& query) const
+    {
+        return std::min(query.priorityClass, priorityClasses - 1);
+    }
 };
 
 /** The router's verdict on one arriving query. */
@@ -252,44 +262,14 @@ struct DegradeRecord
     }
 };
 
-/** Per-priority-class slice of OverloadStats (same field meanings). */
-struct ClassOverloadStats
-{
-    uint64_t offered = 0;
-    uint64_t admitted = 0;
-    uint64_t dropped = 0;
-    uint64_t droppedFinal = 0;
-    uint64_t retried = 0;
-    uint64_t degraded = 0;
-    uint64_t measuredCompleted = 0;
-    uint64_t completedWithinDeadline = 0;
-    double qualityWeight = 0;
-    double goodputQps = 0;
-
-    /** Finally-dropped fraction of offered queries, in [0, 1]. */
-    double
-    shedRate() const
-    {
-        return offered > 0
-            ? static_cast<double>(droppedFinal) /
-                  static_cast<double>(offered)
-            : 0.0;
-    }
-};
-
 /**
- * Drop/degrade/goodput accounting of one run. Count fields cover the
- * whole trace. Conservation: every offered query either dispatches
- * or is finally dropped (offered == admitted + droppedFinal), every
- * refusal either schedules a retry or is final
- * (dropped == retried + droppedFinal), and every presentation is a
- * trace arrival or a retry (offered + retried == admitted + dropped);
- * without retries, dropped == droppedFinal and the historical
- * offered == admitted + dropped holds unchanged. The goodput and
- * per-class fields cover measured (post-warmup) queries and are only
- * populated when OverloadConfig::deadlineSeconds > 0.
+ * The overload counts of one priority class, or of the whole run (the
+ * OverloadStats totals). Count fields cover the whole trace; the
+ * goodput fields (measuredCompleted onward) cover measured
+ * (post-warmup) queries and are only populated when
+ * OverloadConfig::deadlineSeconds > 0.
  */
-struct OverloadStats
+struct ClassOverloadStats
 {
     uint64_t offered = 0;    ///< queries presented to the router
     uint64_t admitted = 0;   ///< dispatched (possibly degraded)
@@ -311,11 +291,37 @@ struct OverloadStats
      *  second — the headline goodput number. */
     double goodputQps = 0;
 
+    /** Finally-dropped fraction of offered queries, in [0, 1]. */
+    double
+    shedRate() const
+    {
+        return offered > 0
+            ? static_cast<double>(droppedFinal) /
+                  static_cast<double>(offered)
+            : 0.0;
+    }
+};
+
+/**
+ * Drop/degrade/goodput accounting of one run: the run's totals, their
+ * per-class slices, and the per-query drop and degrade records.
+ * Conservation: every offered query either dispatches or is finally
+ * dropped (offered == admitted + droppedFinal), every refusal either
+ * schedules a retry or is final (dropped == retried + droppedFinal),
+ * and every presentation is a trace arrival or a retry
+ * (offered + retried == admitted + dropped); without retries,
+ * dropped == droppedFinal and the historical
+ * offered == admitted + dropped holds unchanged.
+ */
+struct OverloadStats : ClassOverloadStats
+{
     /**
      * Per-priority-class accounting, indexed by effective class
-     * (sized OverloadConfig::priorityClasses when deadline accounting
-     * is on; empty otherwise). Every slice field sums to the matching
-     * total above; with one class, perClass[0] mirrors the totals.
+     * (OverloadConfig::effectiveClass) and sized
+     * OverloadConfig::priorityClasses on every run, overload control
+     * on or off. Every integer slice field sums exactly to the
+     * matching total (the driver asserts it at the end of each run);
+     * with one class, perClass[0] mirrors the totals.
      */
     std::vector<ClassOverloadStats> perClass;
 
@@ -326,16 +332,6 @@ struct OverloadStats
     /** Degraded admissions in decision order (empty when disabled; a
      *  retried query may appear once per degraded presentation). */
     std::vector<DegradeRecord> degradedQueries;
-
-    /** Finally-dropped fraction of offered queries, in [0, 1]. */
-    double
-    shedRate() const
-    {
-        return offered > 0
-            ? static_cast<double>(droppedFinal) /
-                  static_cast<double>(offered)
-            : 0.0;
-    }
 
     /** Degraded fraction of admitted queries, in [0, 1]. */
     double
@@ -357,7 +353,9 @@ class AdmissionController
 {
   public:
     /**
-     * @param config the overload policy (copied; asserted valid)
+     * @param config the overload policy (copied; asserted valid,
+     *        except priorityClasses >= 1, which the cluster drivers
+     *        check for every tier)
      * @param machines the tier's machine configs (copied; each query
      *        is priced through its model's binding)
      * @param embeddingShare the fraction of a query's embedding work

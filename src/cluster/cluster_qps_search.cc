@@ -12,11 +12,10 @@ bool
 meetsPerModelSla(const ClusterResult& r,
                  const std::vector<ModelMixEntry>& mix, double pct)
 {
+    drs_assert(r.perModel.size() == std::max<size_t>(1, mix.size()),
+               "run books do not match the model mix");
     for (size_t k = 0; k < mix.size(); ++k) {
-        if (mix[k].slaMs <= 0.0)
-            continue;
-        if (k >= r.perModel.size() ||
-            r.perModel[k].tailMs(pct) > mix[k].slaMs)
+        if (mix[k].slaMs > 0.0 && r.perModel[k].tailMs(pct) > mix[k].slaMs)
             return false;
     }
     return true;

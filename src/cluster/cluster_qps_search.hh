@@ -66,9 +66,10 @@ struct ClusterQpsResult
 /**
  * Per-model SLA feasibility of one evaluated run: every mix entry
  * with a positive slaMs must meet its own tail target at @p pct.
- * Vacuously true on single-model runs (empty mix), so fleet-only
- * feasibility tests are unchanged there. Shared by the QPS search and
- * the capacity planner.
+ * @p r must be a run of a tier with mix @p mix (every run keeps one
+ * per-model book per mix entry, asserted). Vacuously true on
+ * single-model runs (empty mix), so fleet-only feasibility tests are
+ * unchanged there. Shared by the QPS search and the capacity planner.
  */
 bool meetsPerModelSla(const ClusterResult& r,
                       const std::vector<ModelMixEntry>& mix, double pct);

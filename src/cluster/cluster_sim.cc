@@ -1,6 +1,7 @@
 #include "cluster_sim.hh"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "base/logging.hh"
 #include "cluster/autoscaler.hh"
@@ -28,21 +29,23 @@ validateTier(const ClusterConfig& cfg)
     drs_assert(!cfg.machines.empty(), "cluster needs machines");
     for (const SimConfig& machine : cfg.machines)
         MachineEngine::validate(machine);
-    if (!cfg.modelMix.empty()) {
-        // Fraction rules are the trace splitter's (non-negative, sum
-        // to 1); every mix model needs a binding somewhere or no
-        // routing policy could legally place its queries.
-        (void)splitCountByFraction(mixFractions(cfg.modelMix), 0);
-        size_t max_served = 0;
-        for (const SimConfig& machine : cfg.machines)
-            max_served = std::max(max_served, machine.numModels());
-        drs_assert(max_served >= cfg.modelMix.size(),
-                   "no machine serves the mix's last model");
-        if (cfg.modelMix.size() > 1 && cfg.sharding.has_value())
-            drs_assert(cfg.sharding->models.size() == cfg.modelMix.size(),
-                       "a multi-model sharded tier needs one table "
-                       "namespace per mix model");
-    }
+    // Fraction rules are the trace splitter's (non-negative, sum to
+    // 1); every mix model needs a binding somewhere or no routing
+    // policy could legally place its queries. An empty mix is the
+    // one-entry mix and passes both.
+    (void)splitCountByFraction(mixFractions(cfg.modelMix), 0);
+    size_t max_served = 0;
+    for (const SimConfig& machine : cfg.machines)
+        max_served = std::max(max_served, machine.numModels());
+    drs_assert(max_served >= cfg.modelMix.size(),
+               "no machine serves the mix's last model");
+    if (cfg.modelMix.size() > 1 && cfg.sharding.has_value())
+        drs_assert(cfg.sharding->models.size() == cfg.modelMix.size(),
+                   "a multi-model sharded tier needs one table "
+                   "namespace per mix model");
+    // Every run keeps one overload book per class, overload on or off.
+    drs_assert(cfg.overload.priorityClasses >= 1,
+               "at least one priority class is required");
     if (cfg.sharding.has_value()) {
         const ShardPlacement& placement = cfg.sharding->placement;
         drs_assert(placement.feasible(),
@@ -577,7 +580,6 @@ class TierCore final : public TierState, public ClusterView
              ElasticLifecycle* life)
         : cfg(config), trace(trace), router(router), obs_(obs),
           books(books), placements(placements), life(life),
-          mixOn(!config.modelMix.empty()),
           numMix(std::max<size_t>(1, config.modelMix.size())),
           faultsOn(config.faults.enabled()),
           hedgeOn(config.hedge.enabled()),
@@ -642,8 +644,8 @@ class TierCore final : public TierState, public ClusterView
         return acceptingCount == machines.size();
     }
 
-    // Per-model signals (the per-model flight book exists only on
-    // mixed tiers; single-model runs fall back to the totals).
+    // Per-model signals (a single-model tier is the one-entry mix,
+    // whose flight book equals the totals).
     bool
     servesModel(size_t m, uint32_t model) const override
     {
@@ -653,7 +655,7 @@ class TierCore final : public TierState, public ClusterView
     size_t
     inFlightQueriesOfModel(size_t m, uint32_t model) const override
     {
-        return mixOn ? inFlightByModel[m * numMix + model] : inFlight[m];
+        return inFlightByModel[m * numMix + model];
     }
 
   private:
@@ -661,8 +663,7 @@ class TierCore final : public TierState, public ClusterView
     flightAdd(uint32_t m, uint32_t model)
     {
         inFlight[m]++;
-        if (mixOn)
-            inFlightByModel[m * numMix + model]++;
+        inFlightByModel[m * numMix + model]++;
     }
 
     void
@@ -670,10 +671,8 @@ class TierCore final : public TierState, public ClusterView
     {
         drs_assert(inFlight[m] > 0, what);
         inFlight[m]--;
-        if (mixOn) {
-            drs_assert(inFlightByModel[m * numMix + model] > 0, what);
-            inFlightByModel[m * numMix + model]--;
-        }
+        drs_assert(inFlightByModel[m * numMix + model] > 0, what);
+        inFlightByModel[m * numMix + model]--;
     }
 
     /** The part belongs to a dispatch a failure already killed (the
@@ -744,29 +743,24 @@ class TierCore final : public TierState, public ClusterView
         QueryState& q = queries[query_idx];
         books.numCompleted++;
         books.perMachine[q.machine].queriesCompleted++;
-        if (mixOn)
-            books.perModel[q.model].completed++;
+        books.perModel[q.model].completed++;
         const double latency = q.joinTime - q.arrival;
         if (life)
             life->onCompletion(latency);
         if (q.measured) {
             books.fleetLatencySeconds.add(latency);
             books.perMachine[q.machine].latencySeconds.add(latency);
-            if (mixOn)
-                books.perModel[q.model].latencySeconds.add(latency);
+            books.perModel[q.model].latencySeconds.add(latency);
             span.onCompletion(q.joinTime);
             if (cfg.overload.deadlineSeconds > 0.0) {
+                ClassOverloadStats& cs = classStats(q.cls);
                 books.overload.measuredCompleted++;
-                ClassOverloadStats* cs = classStats(q.cls);
-                if (cs)
-                    cs->measuredCompleted++;
+                cs.measuredCompleted++;
                 if (latency <= cfg.overload.deadlineSeconds) {
                     books.overload.completedWithinDeadline++;
                     books.overload.qualityWeight += q.quality;
-                    if (cs) {
-                        cs->completedWithinDeadline++;
-                        cs->qualityWeight += q.quality;
-                    }
+                    cs.completedWithinDeadline++;
+                    cs.qualityWeight += q.quality;
                 }
             }
         }
@@ -928,8 +922,7 @@ class TierCore final : public TierState, public ClusterView
         } else {
             books.faults.lost++;
             books.faults.lostQueries.push_back(idx);
-            if (mixOn)
-                books.perModel[q.model].lost++;
+            books.perModel[q.model].lost++;
             if (placements)
                 placements->machineOfQuery[idx] = ClusterResult::lostMachine;
             if (obs_)
@@ -1136,12 +1129,10 @@ class TierCore final : public TierState, public ClusterView
         if (q.measured)
             span.onArrival(in.arrivalSeconds);
         q.model = in.model;
-        q.cls = cfg.overload.priorityClasses > 1
-            ? std::min(in.priorityClass, cfg.overload.priorityClasses - 1)
-            : 0;
-        ClassOverloadStats* cs = classStats(q.cls);
-        if (cs && q.attempt == 0 && q.failovers == 0)
-            cs->offered++;
+        q.cls = cfg.overload.effectiveClass(in);
+        ClassOverloadStats& cs = classStats(q.cls);
+        if (q.attempt == 0 && q.failovers == 0)
+            cs.offered++;
 
         Query served = in;
         double quality = 1.0;
@@ -1150,8 +1141,7 @@ class TierCore final : public TierState, public ClusterView
             if (!verdict.admit) {
                 // Shed at the router: nothing reaches a machine.
                 books.overload.dropped++;
-                if (cs)
-                    cs->dropped++;
+                cs.dropped++;
                 if (verdict.retryable && q.attempt < cfg.overload.maxRetries) {
                     const double delay = retryDelaySeconds(
                         cfg.overload.retryBackoffSeconds,
@@ -1160,17 +1150,14 @@ class TierCore final : public TierState, public ClusterView
                         verdict.retryAfterSeconds, in.id, q.attempt);
                     q.attempt++;
                     books.overload.retried++;
-                    if (cs)
-                        cs->retried++;
+                    cs.retried++;
                     events.push(now + delay, SimEvent::Kind::Retry, 0, idx);
                     if (obs_)
                         obs_->onQueryRetry(idx, now, q.attempt, delay);
                 } else {
                     books.overload.droppedFinal++;
-                    if (cs)
-                        cs->droppedFinal++;
-                    if (mixOn)
-                        books.perModel[in.model].droppedFinal++;
+                    cs.droppedFinal++;
+                    books.perModel[in.model].droppedFinal++;
                     if (placements)
                         placements->machineOfQuery[idx] =
                             ClusterResult::droppedMachine;
@@ -1200,16 +1187,14 @@ class TierCore final : public TierState, public ClusterView
         }
         if (admission && served.size < in.size) {
             books.overload.degraded++;
-            if (cs)
-                cs->degraded++;
+            cs.degraded++;
             books.overload.degradedQueries.push_back(
                 {idx, in.size, served.size});
             if (obs_)
                 obs_->onQueryDegrade(idx, now, in.size, served.size);
         }
         books.overload.admitted++;
-        if (cs)
-            cs->admitted++;
+        cs.admitted++;
 
         q.arrival = in.arrivalSeconds;
         q.size = served.size;
@@ -1225,8 +1210,7 @@ class TierCore final : public TierState, public ClusterView
                                   static_cast<uint32_t>(plan.size())};
 
         books.numDispatched++;
-        if (mixOn)
-            books.perModel[q.model].dispatched++;
+        books.perModel[q.model].dispatched++;
         const double forward = cfg.network.oneWaySeconds(
             static_cast<double>(served.size) *
             cfg.network.requestBytesPerSample);
@@ -1291,12 +1275,10 @@ class TierCore final : public TierState, public ClusterView
                         q.gen);
     }
 
-    ClassOverloadStats*
+    ClassOverloadStats&
     classStats(uint32_t cls)
     {
-        return books.overload.perClass.empty()
-            ? nullptr
-            : &books.overload.perClass[cls];
+        return books.overload.perClass[cls];
     }
 
     const ClusterConfig& cfg;
@@ -1307,10 +1289,7 @@ class TierCore final : public TierState, public ClusterView
     ClusterResult* const placements;
     ElasticLifecycle* const life;
 
-    /** Multi-model colocation: per-model books are kept only when the
-     *  config carries a mix, so single-model runs take no new branch
-     *  with observable state. */
-    const bool mixOn;
+    /** Mix entries (1 on a single-model tier: the one-entry mix). */
     const size_t numMix;
 
     /** Fault injection and hedging: when disabled, every vector below
@@ -1325,8 +1304,8 @@ class TierCore final : public TierState, public ClusterView
     std::vector<HedgePart> hedgeParts;          ///< parallel to parts
     std::vector<HedgeDispatch> hedgeDispatch;   ///< parallel to queries
 
-    /** Per-(machine, model) flight book of a mixed tier, flattened
-     *  [m * numMix + model]; empty on single-model runs. */
+    /** Per-(machine, model) flight book, flattened
+     *  [m * numMix + model]. */
     std::vector<uint64_t> inFlightByModel;
 
     /**
@@ -1363,7 +1342,8 @@ TierCore::run()
 {
     const size_t n = cfg.machines.size();
     books.perMachine.resize(n);
-    books.perModel.resize(cfg.modelMix.size());
+    books.perModel.resize(numMix);
+    books.overload.perClass.resize(cfg.overload.priorityClasses);
     if (cfg.sharding.has_value()) {
         for (size_t m = 0; m < n; m++)
             books.perMachine[m].embBytesStored =
@@ -1394,8 +1374,7 @@ TierCore::run()
     inFlight.assign(n, 0);
     pendingJoins.assign(n, 0);
     downDepth.assign(n, 0);
-    if (mixOn)
-        inFlightByModel.assign(n * numMix, 0);
+    inFlightByModel.assign(n * numMix, 0);
     pendingJoinCost.assign(n, 0.0);
     grayDepth.assign(n, 0);
     netDepth.assign(n, 0);
@@ -1428,9 +1407,6 @@ TierCore::run()
             cfg.sharding ? 1.0 / static_cast<double>(n) : 1.0;
         admission.emplace(cfg.overload, cfg.machines, share, cfg.network,
                           cfg.join);
-        // Per-class accounting rides with deadline/goodput accounting.
-        if (cfg.overload.deadlineSeconds > 0.0)
-            books.overload.perClass.resize(cfg.overload.priorityClasses);
     }
 
     if (obs_) {
@@ -1452,8 +1428,7 @@ TierCore::run()
                        "trace must be sorted by arrival");
             books.overload.offered++;
             present(nextArrival, in.arrivalSeconds);    // checks the model
-            if (mixOn)
-                books.perModel[in.model].offered++;
+            books.perModel[in.model].offered++;
             nextArrival++;
             continue;
         }
@@ -1596,24 +1571,31 @@ TierCore::run()
     assertFaultConservation(books.overload, books.faults,
                             books.numDispatched, books.numCompleted,
                             trace.size());
-    if (mixOn) {
-        // The same algebra per model, plus the cross-model sum checks:
-        // every query is exactly one model's, so the per-model books
-        // must tile the fleet totals with nothing left over.
-        uint64_t sum_offered = 0;
-        uint64_t sum_completed = 0;
-        for (const ModelStats& ms : books.perModel) {
-            drs_assert(ms.offered ==
-                           ms.completed + ms.droppedFinal + ms.lost,
-                       "per-model conservation violated");
-            sum_offered += ms.offered;
-            sum_completed += ms.completed;
-        }
-        drs_assert(sum_offered == books.overload.offered,
-                   "per-model offered books do not tile the fleet total");
-        drs_assert(sum_completed == books.numCompleted,
-                   "per-model completion books do not tile the fleet "
-                   "total");
+    // The same algebra per model, plus the cross-slice sum checks:
+    // every query is exactly one model's and one class's, so both
+    // slice families must tile the fleet totals with nothing left over.
+    uint64_t sum_offered = 0;
+    uint64_t sum_completed = 0;
+    for (const ModelStats& ms : books.perModel) {
+        drs_assert(ms.offered == ms.completed + ms.droppedFinal + ms.lost,
+                   "per-model conservation violated");
+        sum_offered += ms.offered;
+        sum_completed += ms.completed;
+    }
+    drs_assert(sum_offered == books.overload.offered,
+               "per-model offered books do not tile the fleet total");
+    drs_assert(sum_completed == books.numCompleted,
+               "per-model completion books do not tile the fleet total");
+    using C = ClassOverloadStats;
+    for (uint64_t C::*field :
+         {&C::offered, &C::admitted, &C::dropped, &C::droppedFinal,
+          &C::retried, &C::degraded, &C::measuredCompleted,
+          &C::completedWithinDeadline}) {
+        uint64_t sum = 0;
+        for (const ClassOverloadStats& cs : books.overload.perClass)
+            sum += cs.*field;
+        drs_assert(sum == books.overload.*field,
+                   "per-class books do not tile the fleet total");
     }
     return span;
 }

@@ -117,11 +117,12 @@ struct ClusterConfig
      * The model mix a colocated tier serves (cluster/model_mix.hh):
      * Query::model indexes this vector, every machine must carry a
      * binding for each model it receives, and per-model statistics
-     * (ClusterResult::perModel) and SLA checks key off it. Empty on
-     * single-model tiers — the historical configuration, in which the
-     * whole multi-model layer is bitwise invisible. Traffic fractions
-     * must sum to 1; a multi-model *sharded* tier additionally needs
-     * one ShardingConfig::models namespace per mix entry.
+     * (TierBooks::perModel) and SLA checks key off it. Left empty, the
+     * tier is the one-entry mix of its machines' own model: every run
+     * still keeps that model's books, which equal the fleet totals.
+     * Traffic fractions must sum to 1; a multi-model *sharded* tier
+     * additionally needs one ShardingConfig::models namespace per mix
+     * entry.
      */
     std::vector<ModelMixEntry> modelMix;
 };
@@ -147,11 +148,11 @@ struct MachineStats
 };
 
 /**
- * Per-model outcome of one multi-model run. The integer books obey
- * the same three-way conservation algebra as the fleet totals —
+ * Per-model outcome of one run. The integer books obey the same
+ * three-way conservation algebra as the fleet totals —
  * offered == completed + droppedFinal + lost, per model — and each
  * book sums exactly to its fleet counterpart across the mix (the
- * colocation property suite pins both).
+ * driver asserts both at the end of every run).
  */
 struct ModelStats
 {
@@ -204,8 +205,8 @@ struct TierBooks
      *  zero when the run carries no FaultPlan and no HedgeConfig. */
     FaultStats faults;
 
-    /** Per-mix-model books (one entry per ClusterConfig::modelMix
-     *  entry; empty on single-model runs). */
+    /** Per-mix-model books: one entry per ClusterConfig::modelMix
+     *  entry, one on a single-model run (an empty mix). */
     std::vector<ModelStats> perModel;
 
     /** Fleet-wide p95 latency in milliseconds. */

@@ -146,11 +146,13 @@ class ClusterView
     virtual bool allAccepting() const { return true; }
 
     // ------------------------------------------------- per-model view
-    // The multi-model tier's per-model signals: which machines serve a
-    // model (the model-aware policies' candidate sets and admission's
-    // per-model service pricing) and each model's in-flight share (the
-    // model-aware policies' load signal). Single-model views keep the
-    // defaults: one model, served everywhere, whose share IS the total.
+    // The per-model signals: which machines serve a model (the
+    // model-aware policies' candidate sets and admission's per-model
+    // service pricing) and each model's in-flight share (the
+    // model-aware policies' load signal). The cluster driver keeps a
+    // per-(machine, model) flight book on every run, the one-entry mix
+    // included. The defaults serve fixed views of a single-model tier:
+    // one model, served everywhere, whose share IS the total.
 
     /** True when machine @p m has a binding for mix model @p model. */
     virtual bool

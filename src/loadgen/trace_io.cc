@@ -1,6 +1,7 @@
 #include "trace_io.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -56,14 +57,20 @@ readTrace(std::istream& is)
 
     QueryTrace trace;
     trace.reserve(std::min(count, maxReservedQueries));
-    double prev_arrival = -1.0;
+    double prev_arrival = 0.0;
     for (size_t i = 0; i < count; i++) {
         Query q;
-        // Read the size signed, so a negative size is rejected rather
-        // than wrapped into a huge unsigned one.
+        // The id is unsigned: refuse a sign rather than let the stream
+        // wrap "-1" into 2^64 - 1. Read the size signed, so a negative
+        // size is rejected rather than wrapped into a huge unsigned one.
+        if ((is >> std::ws).peek() == '-')
+            drs_fatal("trace query ", i, " has a negative id");
         int64_t size = 0;
         if (!(is >> q.id >> q.arrivalSeconds >> size))
             drs_fatal("trace truncated at query ", i, " of ", count);
+        if (!std::isfinite(q.arrivalSeconds) || q.arrivalSeconds < 0.0)
+            drs_fatal("trace query ", i, " has arrival ", q.arrivalSeconds,
+                      " s; arrivals must be finite and >= 0");
         if (size < 1 || size > std::numeric_limits<uint32_t>::max())
             drs_fatal("trace query ", i, " has size ", size,
                       " outside [1, ", std::numeric_limits<uint32_t>::max(),

@@ -307,6 +307,24 @@ TEST(EngineDiff, DisabledOverloadLayerIsBitwiseInvisible)
     EXPECT_EQ(r_plain.overload.goodputQps, 0.0);
     EXPECT_EQ(r_plain.overload.offered, trace.size());
     EXPECT_EQ(r_acct.overload.offered, trace.size());
+    // Both keep the one class's book, and it equals the totals.
+    for (const ClusterResult* r : {&r_plain, &r_acct}) {
+        ASSERT_EQ(r->overload.perClass.size(), 1u);
+        const ClassOverloadStats& cs = r->overload.perClass[0];
+        const OverloadStats& total = r->overload;
+        EXPECT_EQ(cs.offered, total.offered);
+        EXPECT_EQ(cs.admitted, total.admitted);
+        EXPECT_EQ(cs.dropped, total.dropped);
+        EXPECT_EQ(cs.droppedFinal, total.droppedFinal);
+        EXPECT_EQ(cs.retried, total.retried);
+        EXPECT_EQ(cs.degraded, total.degraded);
+        EXPECT_EQ(cs.measuredCompleted, total.measuredCompleted);
+        EXPECT_EQ(cs.completedWithinDeadline,
+                  total.completedWithinDeadline);
+        EXPECT_EQ(cs.qualityWeight, total.qualityWeight);
+        EXPECT_EQ(cs.goodputQps, total.goodputQps);
+    }
+    EXPECT_GT(r_acct.overload.perClass[0].measuredCompleted, 0u);
 }
 
 TEST(EngineDiff, SingleMachineMatchesClusterWithAccountingEnabled)
@@ -390,19 +408,20 @@ withUnitMix(const ClusterConfig& plain, ModelId id)
     return mixed;
 }
 
-/** The 1-entry mix's per-model books must mirror the fleet totals
+/** A single-model run's per-model books — the 1-entry mix's, with
+ *  the mix spelled out or left empty — must mirror the fleet totals
  *  exactly: same offered/completed/dropped counts, same raw latency
  *  vector, full conservation under a single ModelId. */
 void
-expectUnitMixBooks(const ClusterResult& mixed, size_t trace_size)
+expectUnitMixBooks(const TierBooks& run, size_t trace_size)
 {
-    ASSERT_EQ(mixed.perModel.size(), 1u);
-    const ModelStats& ms = mixed.perModel[0];
+    ASSERT_EQ(run.perModel.size(), 1u);
+    const ModelStats& ms = run.perModel[0];
     EXPECT_EQ(ms.offered, trace_size);
-    EXPECT_EQ(ms.completed, mixed.numCompleted);
-    EXPECT_EQ(ms.droppedFinal, mixed.overload.dropped);
+    EXPECT_EQ(ms.completed, run.numCompleted);
+    EXPECT_EQ(ms.droppedFinal, run.overload.dropped);
     EXPECT_EQ(ms.offered, ms.completed + ms.droppedFinal + ms.lost);
-    EXPECT_EQ(ms.latencySeconds.raw(), mixed.fleetLatencySeconds.raw());
+    EXPECT_EQ(ms.latencySeconds.raw(), run.fleetLatencySeconds.raw());
 }
 
 TEST(EngineDiff, OneModelMixIsBitwiseInvisibleShardless)
@@ -422,7 +441,7 @@ TEST(EngineDiff, OneModelMixIsBitwiseInvisibleShardless)
     const ClusterResult b = ClusterSimulator(mixed).run(trace, routing);
 
     expectIdenticalClusterRuns(a, b);
-    EXPECT_TRUE(a.perModel.empty());
+    expectUnitMixBooks(a, trace.size());
     expectUnitMixBooks(b, trace.size());
 }
 
@@ -458,6 +477,7 @@ TEST(EngineDiff, OneModelMixIsBitwiseInvisibleSharded)
     const QueryTrace trace = poissonTrace(1600, 2200.0, 0x5eed);
     const RoutingSpec routing{RoutingKind::ShardAware};
     const ClusterResult a = ClusterSimulator(plain).run(trace, routing);
+    expectUnitMixBooks(a, trace.size());
 
     // Mix on, historical (un-namespaced) table space.
     const ClusterConfig mixed = withUnitMix(plain, ModelId::DlrmRmc2);
@@ -501,6 +521,7 @@ TEST(EngineDiff, OneModelMixIsBitwiseInvisibleOverloaded)
     EXPECT_EQ(a.overload.degraded, b.overload.degraded);
     EXPECT_EQ(a.overload.goodputQps, b.overload.goodputQps);
     EXPECT_GT(b.overload.dropped, 0u) << "overload scenario not biting";
+    expectUnitMixBooks(a, trace.size());
     expectUnitMixBooks(b, trace.size());
 }
 
@@ -540,6 +561,8 @@ TEST(EngineDiff, OneModelMixIsBitwiseInvisibleAutoscaled)
         EXPECT_EQ(a.timeline[w].servingMachines,
                   b.timeline[w].servingMachines);
     }
+    expectUnitMixBooks(a, trace.size());
+    expectUnitMixBooks(b, trace.size());
 }
 
 } // namespace

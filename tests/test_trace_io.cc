@@ -112,5 +112,21 @@ TEST(TraceIoDeath, RejectsSizesOutsideUint32)
                 "has size 4294967296 outside");
 }
 
+TEST(TraceIoDeath, RejectsNegativeIds)
+{
+    // Ids are unsigned; "-1" must not wrap into 2^64 - 1.
+    std::stringstream buffer("deeprecsys-trace v1 2\n0 0.0 10\n-1 0.5 10\n");
+    EXPECT_EXIT(readTrace(buffer), ::testing::ExitedWithCode(1),
+                "query 1 has a negative id");
+}
+
+TEST(TraceIoDeath, RejectsNegativeArrivals)
+{
+    // The first arrival is checked too, not only the sort order after it.
+    std::stringstream buffer("deeprecsys-trace v1 1\n0 -0.5 10\n");
+    EXPECT_EXIT(readTrace(buffer), ::testing::ExitedWithCode(1),
+                "query 0 has arrival -0.5 s; arrivals must be finite");
+}
+
 } // namespace
 } // namespace deeprecsys
