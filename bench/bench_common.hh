@@ -10,13 +10,12 @@
 #ifndef DRS_BENCH_COMMON_HH
 #define DRS_BENCH_COMMON_HH
 
-#include <charconv>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "base/command_line.hh"
 #include "base/table.hh"
 #include "base/thread_pool.hh"
 #include "core/deeprecsched.hh"
@@ -85,161 +84,8 @@ printStageSplit(std::ostream& os, const obs::StageSplit& split)
     table.print(os);
 }
 
-/**
- * The command line of a bench binary: switches, options that take a
- * value, and at most one positional argument (the JSON output path).
- * parse() prints usage and exits 0 on --help; an unknown flag, an
- * option without its value, a bad number, or a second positional
- * argument exits 2 with the usage on stderr before the bench runs or
- * writes anything. A value may not start with '-', so "--trace
- * --smoke" is a missing value, not a file named "--smoke".
- *
- *     bool smoke = false;
- *     std::string json_path;
- *     CommandLine("fig99", "what the bench studies")
- *         .flag("--smoke", smoke, "a short run for CI")
- *         .positional("JSON", json_path, "write the table as JSON")
- *         .parse(argc, argv);
- */
-class CommandLine
-{
-  public:
-    CommandLine(std::string name, std::string summary)
-        : name_(std::move(name)), summary_(std::move(summary))
-    {
-    }
-
-    /** A switch: @p out becomes true when @p flag is given. */
-    CommandLine&
-    flag(const char* flag, bool& out, const char* help)
-    {
-        args_.push_back({flag, nullptr, help, &out});
-        return *this;
-    }
-
-    /** @p flag VALUE: a string, e.g. an output path. */
-    CommandLine&
-    option(const char* flag, std::string& out, const char* metavar,
-           const char* help)
-    {
-        args_.push_back({flag, metavar, help, nullptr, &out});
-        return *this;
-    }
-
-    /** @p flag N: a decimal integer in [0, @p max]. */
-    CommandLine&
-    number(const char* flag, size_t& out, size_t max, const char* metavar,
-           const char* help)
-    {
-        args_.push_back({flag, metavar, help, nullptr, nullptr, &out, max});
-        return *this;
-    }
-
-    /** The one optional positional argument. */
-    CommandLine&
-    positional(const char* metavar, std::string& out, const char* help)
-    {
-        positional_ = {nullptr, metavar, help, nullptr, &out};
-        return *this;
-    }
-
-    void
-    parse(int argc, char** argv) const
-    {
-        bool positional_seen = false;
-        for (int i = 1; i < argc; i++) {
-            const std::string arg = argv[i];
-            if (arg == "--help") {
-                printUsage(std::cout);
-                std::exit(0);
-            }
-            if (arg.empty() || arg[0] != '-') {
-                if (positional_seen || !positional_.metavar)
-                    fail("unexpected argument '" + arg + "'");
-                *positional_.text = arg;
-                positional_seen = true;
-                continue;
-            }
-            const Arg* spec = nullptr;
-            for (const Arg& a : args_)
-                if (arg == a.flag)
-                    spec = &a;
-            if (!spec)
-                fail("unknown option '" + arg + "'");
-            if (spec->on) {
-                *spec->on = true;
-                continue;
-            }
-            if (i + 1 >= argc || argv[i + 1][0] == '-' ||
-                argv[i + 1][0] == '\0')
-                fail("option '" + arg + "' needs a value (" +
-                     spec->metavar + ")");
-            const std::string value = argv[++i];
-            if (spec->text) {
-                *spec->text = value;
-                continue;
-            }
-            size_t n = 0;
-            const char* end = value.data() + value.size();
-            const auto [ptr, ec] = std::from_chars(value.data(), end, n);
-            if (ec != std::errc() || ptr != end || n > spec->max)
-                fail("option '" + arg + "' needs an integer in [0, " +
-                     std::to_string(spec->max) + "], not '" + value + "'");
-            *spec->count = n;
-        }
-    }
-
-  private:
-    /** One argument; exactly one of on, text and count is set. */
-    struct Arg
-    {
-        const char* flag = nullptr;
-        const char* metavar = nullptr;    ///< nullptr on a switch
-        const char* help = nullptr;
-        bool* on = nullptr;
-        std::string* text = nullptr;
-        size_t* count = nullptr;
-        size_t max = 0;                   ///< largest accepted count
-    };
-
-    void
-    printUsage(std::ostream& os) const
-    {
-        os << "usage: " << name_ << " [--help]";
-        for (const Arg& a : args_) {
-            os << " [" << a.flag;
-            if (a.metavar)
-                os << " " << a.metavar;
-            os << "]";
-        }
-        if (positional_.metavar)
-            os << " [" << positional_.metavar << "]";
-        os << "\n\n" << summary_ << "\n\n";
-        os << "  --help  print this message and exit\n";
-        for (const Arg& a : args_) {
-            os << "  " << a.flag;
-            if (a.metavar)
-                os << " " << a.metavar;
-            os << "  " << a.help << "\n";
-        }
-        if (positional_.metavar)
-            os << "  " << positional_.metavar << "  " << positional_.help
-               << "\n";
-    }
-
-    [[noreturn]] void
-    fail(const std::string& message) const
-    {
-        std::cerr << name_ << ": " << message << "\n";
-        printUsage(std::cerr);
-        std::exit(2);
-    }
-
-    std::string name_;
-    std::string summary_;
-    std::vector<Arg> args_;
-    Arg positional_;
-};
+/** The command-line parser every bench with arguments uses. */
+using deeprecsys::CommandLine;
 
 /**
  * Evaluate one sweep point per grid item on the shared thread pool

@@ -15,6 +15,7 @@
 #include <iostream>
 #include <string>
 
+#include "base/command_line.hh"
 #include "base/table.hh"
 #include "cluster/capacity_planner.hh"
 #include "core/deeprecsched.hh"
@@ -24,9 +25,16 @@ using namespace deeprecsys;
 int
 main(int argc, char** argv)
 {
-    const ModelId id =
-        argc > 1 ? modelFromName(argv[1]) : ModelId::DlrmRmc1;
-    const double global_qps = argc > 2 ? std::stod(argv[2]) : 50000.0;
+    std::string model_name = modelName(ModelId::DlrmRmc1);
+    double global_qps = 50000.0;
+    CommandLine("fleet_capacity_planner",
+                "Machines a tier needs for a global query rate under the "
+                "medium tail SLA, static baseline vs DeepRecSched.")
+        .positional("MODEL", model_name, "the model (default DLRM-RMC1)",
+                    allModelNames())
+        .positional("QPS", global_qps, "global queries/s (default 50000)")
+        .parse(argc, argv);
+    const ModelId id = modelFromName(model_name);
 
     InfraConfig cfg;
     cfg.model = id;

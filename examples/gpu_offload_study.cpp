@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "base/command_line.hh"
 #include "base/table.hh"
 #include "core/deeprecsched.hh"
 
@@ -18,8 +19,14 @@ using namespace deeprecsys;
 int
 main(int argc, char** argv)
 {
-    const ModelId id =
-        argc > 1 ? modelFromName(argv[1]) : ModelId::DlrmRmc1;
+    std::string model_name = modelName(ModelId::DlrmRmc1);
+    CommandLine("gpu_offload_study",
+                "Tune batch size and GPU offload threshold for one model "
+                "and weigh the throughput against board power.")
+        .positional("MODEL", model_name, "the model (default DLRM-RMC1)",
+                    allModelNames())
+        .parse(argc, argv);
+    const ModelId id = modelFromName(model_name);
 
     InfraConfig cpu_cfg;
     cpu_cfg.model = id;

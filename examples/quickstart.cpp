@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "base/command_line.hh"
 #include "core/deeprecsched.hh"
 #include "loadgen/query_stream.hh"
 #include "serving/engine.hh"
@@ -18,8 +19,14 @@ using namespace deeprecsys;
 int
 main(int argc, char** argv)
 {
-    const ModelId id =
-        argc > 1 ? modelFromName(argv[1]) : ModelId::DlrmRmc1;
+    std::string model_name = modelName(ModelId::DlrmRmc1);
+    CommandLine("quickstart",
+                "Build a model, serve a trace on the real engine, and "
+                "tune its batch size on the simulator.")
+        .positional("MODEL", model_name, "the model (default DLRM-RMC1)",
+                    allModelNames())
+        .parse(argc, argv);
+    const ModelId id = modelFromName(model_name);
 
     // --- 1. Materialize the model and run one real inference. ---
     const RecModel model(modelConfig(id), /*seed=*/42);

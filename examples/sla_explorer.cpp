@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "base/command_line.hh"
 #include "base/table.hh"
 #include "core/deeprecsched.hh"
 
@@ -18,7 +19,14 @@ using namespace deeprecsys;
 int
 main(int argc, char** argv)
 {
-    const ModelId id = argc > 1 ? modelFromName(argv[1]) : ModelId::Dien;
+    std::string model_name = modelName(ModelId::Dien);
+    CommandLine("sla_explorer",
+                "Sustainable throughput and the tuned batch of one model "
+                "as the tail-latency target tightens.")
+        .positional("MODEL", model_name, "the model (default DIEN)",
+                    allModelNames())
+        .parse(argc, argv);
+    const ModelId id = modelFromName(model_name);
 
     InfraConfig cfg;
     cfg.model = id;

@@ -211,4 +211,13 @@ slaTargetMs(const ModelConfig& cfg, SlaTier tier)
     }
 }
 
+std::vector<std::string>
+allModelNames()
+{
+    std::vector<std::string> names;
+    for (ModelId id : allModelIds())
+        names.push_back(modelName(id));
+    return names;
+}
+
 } // namespace deeprecsys

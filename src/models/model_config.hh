@@ -89,6 +89,9 @@ ModelConfig modelConfig(ModelId id);
 /** Short display name, e.g. "DLRM-RMC2". */
 std::string modelName(ModelId id);
 
+/** modelName() of every id in allModelIds(), in that order. */
+std::vector<std::string> allModelNames();
+
 /** Inverse of modelName(); fatal on unknown names. */
 ModelId modelFromName(const std::string& name);
 

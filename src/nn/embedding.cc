@@ -16,6 +16,31 @@ hashIndex(uint64_t x)
     return x ^ (x >> 31);
 }
 
+/**
+ * Lookups between the prefetch of a row and its pooling read: far
+ * enough ahead to cover a DRAM miss at a few ns per pooled row.
+ */
+constexpr size_t kPrefetchDistance = 16;
+
+/** Prefetch every 64-byte line of a row (two for a 32-float row). */
+void
+prefetchRow(const float* row, size_t dim)
+{
+    for (size_t d = 0; d < dim; d += 64 / sizeof(float))
+        __builtin_prefetch(row + d);
+}
+
+/** Copy the rows end to end into @p dst, prefetching ahead. */
+void
+copyRows(const std::vector<const float*>& rows, size_t dim, float* dst)
+{
+    for (size_t j = 0; j < rows.size(); j++) {
+        if (j + kPrefetchDistance < rows.size())
+            prefetchRow(rows[j + kPrefetchDistance], dim);
+        dst = std::copy(rows[j], rows[j] + dim, dst);
+    }
+}
+
 } // namespace
 
 SparseBatch
@@ -37,7 +62,8 @@ SparseBatch::uniform(size_t batch, size_t lookups_per_sample,
 EmbeddingTable::EmbeddingTable(uint64_t logical_rows, size_t dim, Rng& rng,
                                uint64_t max_physical_rows)
     : logicalRows_(logical_rows),
-      physicalRows_(std::min(logical_rows, max_physical_rows)), dim_(dim)
+      physicalRows_(std::min(logical_rows, max_physical_rows)),
+      pow2Rows_((physicalRows_ & (physicalRows_ - 1)) == 0), dim_(dim)
 {
     drs_assert(logical_rows > 0, "embedding table needs rows");
     drs_assert(dim > 0, "embedding dim must be positive");
@@ -53,10 +79,22 @@ EmbeddingTable::rowFor(uint64_t logical_index) const
     drs_assert(logical_index < logicalRows_,
                "embedding index ", logical_index, " out of range ",
                logicalRows_);
-    const uint64_t physical = physicalRows_ == logicalRows_
-        ? logical_index
-        : hashIndex(logical_index) % physicalRows_;
+    uint64_t physical = logical_index;
+    if (physicalRows_ != logicalRows_) {
+        const uint64_t hash = hashIndex(logical_index);
+        physical = pow2Rows_ ? hash & (physicalRows_ - 1)
+                             : hash % physicalRows_;
+    }
     return storage.data() + physical * dim_;
+}
+
+std::vector<const float*>
+EmbeddingTable::resolveRows(const SparseBatch& batch) const
+{
+    std::vector<const float*> rows(batch.offsets.back());
+    for (size_t j = 0; j < rows.size(); j++)
+        rows[j] = rowFor(batch.indices[j]);
+    return rows;
 }
 
 Tensor
@@ -69,27 +107,24 @@ EmbeddingTable::bagForward(const SparseBatch& batch, Pooling pooling,
 
     if (pooling == Pooling::Concat) {
         const size_t lookups = batch.lookups(0);
-        Tensor out = Tensor::mat(bs, lookups * dim_);
-        for (size_t i = 0; i < bs; i++) {
+        for (size_t i = 0; i < bs; i++)
             drs_assert(batch.lookups(i) == lookups,
                        "concat pooling needs a uniform lookup count");
-            float* dst = out.row(i);
-            for (size_t j = 0; j < lookups; j++) {
-                const float* src =
-                    rowFor(batch.indices[batch.offsets[i] + j]);
-                dst = std::copy(src, src + dim_, dst);
-            }
-        }
+        Tensor out = Tensor::mat(bs, lookups * dim_);
+        copyRows(resolveRows(batch), dim_, out.data());
         return out;
     }
 
+    const std::vector<const float*> rows = resolveRows(batch);
     Tensor out = Tensor::mat(bs, dim_);
     for (size_t i = 0; i < bs; i++) {
         float* dst = out.row(i);
         const size_t begin = batch.offsets[i];
         const size_t end = batch.offsets[i + 1];
         for (size_t j = begin; j < end; j++) {
-            const float* src = rowFor(batch.indices[j]);
+            if (j + kPrefetchDistance < rows.size())
+                prefetchRow(rows[j + kPrefetchDistance], dim_);
+            const float* src = rows[j];
             for (size_t d = 0; d < dim_; d++)
                 dst[d] += src[d];
         }
@@ -110,16 +145,11 @@ EmbeddingTable::gatherSequence(const SparseBatch& batch,
     const size_t bs = batch.batchSize();
     drs_assert(bs > 0, "empty sparse batch");
     const size_t seq = batch.lookups(0);
-    Tensor out({bs, seq, dim_});
-    for (size_t i = 0; i < bs; i++) {
+    for (size_t i = 0; i < bs; i++)
         drs_assert(batch.lookups(i) == seq,
                    "gatherSequence needs a uniform lookup count");
-        float* dst = out.data() + i * seq * dim_;
-        for (size_t j = 0; j < seq; j++) {
-            const float* src = rowFor(batch.indices[batch.offsets[i] + j]);
-            dst = std::copy(src, src + dim_, dst);
-        }
-    }
+    Tensor out({bs, seq, dim_});
+    copyRows(resolveRows(batch), dim_, out.data());
     return out;
 }
 

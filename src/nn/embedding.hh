@@ -9,12 +9,20 @@
  * physical rows (allocated vectors). Logical indices hash onto physical
  * rows, preserving the irregular, table-wide access pattern that makes
  * embedding lookups memory-bound.
+ *
+ * A lookup runs in two passes: the first resolves every row address
+ * of the batch (range check, hash, and a mask when the physical row
+ * count is a power of two), the second pools the rows in the original
+ * order while prefetching the row a fixed distance ahead, so the
+ * misses of many rows overlap instead of one dependent load at a time.
  */
 
 #ifndef DRS_NN_EMBEDDING_HH
 #define DRS_NN_EMBEDDING_HH
 
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <vector>
 
 #include "base/random.hh"
@@ -22,6 +30,48 @@
 #include "tensor/tensor.hh"
 
 namespace deeprecsys {
+
+/**
+ * Allocator starting every block on a 64-byte cache line, so each
+ * 32-float embedding row fills exactly two lines instead of
+ * straddling three. It over-allocates one line from plain operator
+ * new and keeps the original pointer just below the aligned block;
+ * aligned operator new (glibc memalign) split heap chunks and raised
+ * peak RSS by 0.4 MB over building the eight zoo models.
+ */
+template <typename T>
+struct CacheLineAllocator
+{
+    using value_type = T;
+    static constexpr size_t kLine = 64;
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U>&) {}
+
+    T*
+    allocate(size_t n)
+    {
+        // operator new aligns to at least 16, so the gap below the
+        // aligned block (16..64 bytes) always holds the pointer.
+        char* raw =
+            static_cast<char*>(::operator new(n * sizeof(T) + kLine));
+        char* block = raw + kLine - reinterpret_cast<uintptr_t>(raw) % kLine;
+        std::memcpy(block - sizeof(raw), &raw, sizeof(raw));
+        return reinterpret_cast<T*>(block);
+    }
+
+    void
+    deallocate(T* p, size_t)
+    {
+        char* raw = nullptr;
+        std::memcpy(&raw, reinterpret_cast<char*>(p) - sizeof(raw),
+                    sizeof(raw));
+        ::operator delete(raw);
+    }
+
+    bool operator==(const CacheLineAllocator&) const { return true; }
+};
 
 /** Pooling operator applied over the rows gathered for one sample. */
 enum class Pooling { Sum, Mean, Concat };
@@ -101,10 +151,15 @@ class EmbeddingTable
                           OperatorStats* stats = nullptr) const;
 
   private:
+    /** Pass one of a lookup: the row of every index in the batch. */
+    std::vector<const float*> resolveRows(const SparseBatch& batch) const;
+
     uint64_t logicalRows_;
     uint64_t physicalRows_;
+    bool pow2Rows_;                 ///< physical map may use a mask
     size_t dim_;
-    std::vector<float> storage;     ///< physicalRows_ x dim_
+    /** physicalRows_ x dim_, starting on a cache line. */
+    std::vector<float, CacheLineAllocator<float>> storage;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "mlp.hh"
 
 #include <cmath>
+#include <utility>
 
 namespace deeprecsys {
 
@@ -27,7 +28,7 @@ applyActivation(Tensor& t, Activation act)
 } // namespace
 
 FcLayer::FcLayer(size_t in_dim, size_t out_dim, Activation act, Rng& rng)
-    : weights(Tensor::mat(out_dim, in_dim)), bias(Tensor::vec(out_dim)),
+    : weights(out_dim, in_dim), bias(Tensor::vec(out_dim)),
       act(act)
 {
     drs_assert(in_dim > 0 && out_dim > 0, "FC layer dims must be positive");
@@ -35,8 +36,10 @@ FcLayer::FcLayer(size_t in_dim, size_t out_dim, Activation act, Rng& rng)
     // outputs are meaningful CTR-like values.
     const double bound =
         std::sqrt(6.0 / static_cast<double>(in_dim + out_dim));
-    for (size_t i = 0; i < weights.numel(); i++)
-        weights.at(i) = static_cast<float>(rng.uniform(-bound, bound));
+    // Drawn in row-major [out, in] order, straight into panel slots.
+    for (size_t j = 0; j < out_dim; j++)
+        for (size_t p = 0; p < in_dim; p++)
+            weights.at(j, p) = static_cast<float>(rng.uniform(-bound, bound));
     bias.fill(0.0f);
 }
 
@@ -45,7 +48,7 @@ FcLayer::forward(const Tensor& x, Tensor& out) const
 {
     drs_assert(x.rank() == 2 && x.dim(1) == inDim(),
                "FC input width ", x.dim(1), " != expected ", inDim());
-    matmulBiasTransB(x, weights, bias, out);
+    matmulBiasPacked(x, weights, bias, out);
     applyActivation(out, act);
 }
 
@@ -84,13 +87,13 @@ Mlp::forward(const Tensor& x, OperatorStats* stats) const
 {
     ScopedOpTimer timer(stats, OpClass::Fc);
     drs_assert(!layers.empty(), "forward through empty MLP");
-    Tensor cur = x;
-    Tensor next;
-    for (const FcLayer& layer : layers) {
-        layer.forward(cur, next);
-        std::swap(cur, next);
+    Tensor buffers[2];
+    const Tensor* in = &x;
+    for (size_t l = 0; l < layers.size(); l++) {
+        layers[l].forward(*in, buffers[l % 2]);
+        in = &buffers[l % 2];
     }
-    return cur;
+    return std::move(buffers[(layers.size() - 1) % 2]);
 }
 
 uint64_t

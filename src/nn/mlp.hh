@@ -19,7 +19,11 @@ namespace deeprecsys {
 /** Activation applied after a fully-connected layer. */
 enum class Activation { None, Relu, Sigmoid, Tanh };
 
-/** One fully-connected layer: y = act(x * W^T + b). */
+/**
+ * One fully-connected layer: y = act(x * W^T + b). W lives only in
+ * the packed column-panel layout of matmulBiasPacked (tensor.hh); no
+ * row-major copy is kept.
+ */
 class FcLayer
 {
   public:
@@ -34,17 +38,17 @@ class FcLayer
     /** Forward pass; x is [batch, inDim], out becomes [batch, outDim]. */
     void forward(const Tensor& x, Tensor& out) const;
 
-    size_t inDim() const { return weights.dim(1); }
-    size_t outDim() const { return weights.dim(0); }
+    size_t inDim() const { return weights.inDim(); }
+    size_t outDim() const { return weights.outDim(); }
 
     /** Multiply-accumulate count for one sample. */
     uint64_t flopsPerSample() const { return 2ull * inDim() * outDim(); }
 
-    /** Parameter bytes (weights + bias, float32). */
+    /** Parameter bytes (weights + bias, float32; panel padding excluded). */
     uint64_t paramBytes() const;
 
   private:
-    Tensor weights;     ///< [outDim, inDim]
+    PackedWeights weights;  ///< [outDim, inDim] as 16-output panels
     Tensor bias;        ///< [outDim]
     Activation act;
 };
@@ -77,8 +81,9 @@ class Mlp
     size_t outDim() const;
 
     /**
-     * Forward pass through all layers; time is charged to OpClass::Fc
-     * of @p stats when non-null.
+     * Forward pass through all layers, alternating between two
+     * activation buffers (the input is read, never copied); time is
+     * charged to OpClass::Fc of @p stats when non-null.
      */
     Tensor forward(const Tensor& x, OperatorStats* stats = nullptr) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 namespace deeprecsys {
@@ -106,48 +107,176 @@ Tensor::reshape(std::vector<size_t> new_shape)
     shape_ = std::move(new_shape);
 }
 
-void
-matmulBiasTransB(const Tensor& a, const Tensor& b, const Tensor& bias,
-                 Tensor& out)
+PackedWeights::PackedWeights(size_t n, size_t k)
+    : n_(n), k_(k), data_(numPanels() * k * kPanelWidth, 0.0f)
 {
-    drs_assert(a.rank() == 2 && b.rank() == 2, "matmul needs matrices");
+}
+
+float&
+PackedWeights::at(size_t j, size_t p)
+{
+    drs_assert(j < n_ && p < k_, "weight index out of range");
+    return data_[(j / kPanelWidth * k_ + p) * kPanelWidth + j % kPanelWidth];
+}
+
+float
+PackedWeights::at(size_t j, size_t p) const
+{
+    drs_assert(j < n_ && p < k_, "weight index out of range");
+    return data_[(j / kPanelWidth * k_ + p) * kPanelWidth + j % kPanelWidth];
+}
+
+const float*
+PackedWeights::panel(size_t q) const
+{
+    drs_assert(q < numPanels(), "panel index out of range");
+    return data_.data() + q * k_ * kPanelWidth;
+}
+
+namespace {
+
+constexpr size_t kPanel = PackedWeights::kPanelWidth;
+
+/**
+ * One block of R rows of A against one panel: R x 16 sums held in
+ * vectors of V, started at the bias and accumulated over p. Values
+ * move between memory and vectors one vector per memcpy, which
+ * compiles to an unaligned vector load or store and leaves the sums
+ * in registers (a memcpy of a whole array would pin it to the stack).
+ */
+template <typename V, size_t R>
+[[gnu::always_inline]] inline void
+panelBlock(const float* a, size_t k, const float* panel,
+           const float* bias, float* out, size_t n, size_t cols)
+{
+    constexpr size_t per_panel = sizeof(float) * kPanel / sizeof(V);
+    constexpr size_t lanes = sizeof(V) / sizeof(float);
+    V acc[R][per_panel];
+    for (size_t r = 0; r < R; r++)
+        for (size_t v = 0; v < per_panel; v++)
+            std::memcpy(&acc[r][v], bias + v * lanes, sizeof(V));
+    for (size_t p = 0; p < k; p++) {
+        V w[per_panel];
+        for (size_t v = 0; v < per_panel; v++)
+            std::memcpy(&w[v], panel + p * kPanel + v * lanes, sizeof(V));
+        for (size_t r = 0; r < R; r++) {
+            const float x = a[r * k + p];
+            for (size_t v = 0; v < per_panel; v++)
+                acc[r][v] += w[v] * x;
+        }
+    }
+    for (size_t r = 0; r < R; r++) {
+        if (cols == kPanel) {
+            for (size_t v = 0; v < per_panel; v++)
+                std::memcpy(out + r * n + v * lanes, &acc[r][v], sizeof(V));
+        } else {
+            float row[kPanel];
+            for (size_t v = 0; v < per_panel; v++)
+                std::memcpy(row + v * lanes, &acc[r][v], sizeof(V));
+            std::copy(row, row + cols, out + r * n);
+        }
+    }
+}
+
+/** The kernel over vectors of V; both instantiations inline it. */
+template <typename V>
+[[gnu::always_inline]] inline void
+packedKernel(const Tensor& a, const PackedWeights& w, const Tensor& bias,
+             Tensor& out)
+{
+    drs_assert(a.rank() == 2, "matmul needs a matrix input");
     const size_t m = a.dim(0);
     const size_t k = a.dim(1);
-    const size_t n = b.dim(0);
-    drs_assert(b.dim(1) == k, "inner dimensions mismatch: ", k, " vs ",
-               b.dim(1));
+    const size_t n = w.outDim();
+    drs_assert(w.inDim() == k, "inner dimensions mismatch: ", k, " vs ",
+               w.inDim());
     drs_assert(bias.numel() == n, "bias size mismatch");
     if (out.rank() != 2 || out.dim(0) != m || out.dim(1) != n)
         out = Tensor::mat(m, n);
 
     const float* a_data = a.data();
-    const float* b_data = b.data();
-    const float* bias_data = bias.data();
     float* out_data = out.data();
-
-    // Eight independent accumulator lanes break the serial FP-add
-    // chain so the compiler can vectorize the dot product without
-    // -ffast-math reassociation.
-    constexpr size_t lanes = 8;
-    for (size_t i = 0; i < m; i++) {
-        const float* a_row = a_data + i * k;
-        float* out_row = out_data + i * n;
-        for (size_t j = 0; j < n; j++) {
-            const float* b_row = b_data + j * k;
-            float acc[lanes] = {};
-            const size_t vec_end = k - (k % lanes);
-            for (size_t p = 0; p < vec_end; p += lanes) {
-                for (size_t l = 0; l < lanes; l++)
-                    acc[l] += a_row[p + l] * b_row[p + l];
-            }
-            float total = bias_data[j];
-            for (size_t p = vec_end; p < k; p++)
-                total += a_row[p] * b_row[p];
-            for (size_t l = 0; l < lanes; l++)
-                total += acc[l];
-            out_row[j] = total;
+    for (size_t q = 0; q < w.numPanels(); q++) {
+        const size_t j0 = q * kPanel;
+        const size_t cols = std::min(kPanel, n - j0);
+        float panel_bias[kPanel] = {};
+        std::copy(bias.data() + j0, bias.data() + j0 + cols, panel_bias);
+        const float* panel = w.panel(q);
+        float* out_col = out_data + j0;
+        size_t i = 0;
+        for (; i + 4 <= m; i += 4)
+            panelBlock<V, 4>(a_data + i * k, k, panel, panel_bias,
+                             out_col + i * n, n, cols);
+        switch (m - i) {
+          case 3:
+            panelBlock<V, 3>(a_data + i * k, k, panel, panel_bias,
+                             out_col + i * n, n, cols);
+            break;
+          case 2:
+            panelBlock<V, 2>(a_data + i * k, k, panel, panel_bias,
+                             out_col + i * n, n, cols);
+            break;
+          case 1:
+            panelBlock<V, 1>(a_data + i * k, k, panel, panel_bias,
+                             out_col + i * n, n, cols);
+            break;
         }
     }
+}
+
+typedef float Float16B __attribute__((vector_size(16)));
+typedef float Float32B __attribute__((vector_size(32)));
+
+} // namespace
+
+void
+matmulBiasPacked16(const Tensor& a, const PackedWeights& w,
+                   const Tensor& bias, Tensor& out)
+{
+    packedKernel<Float16B>(a, w, bias, out);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+[[gnu::target("avx2")]] void
+matmulBiasPacked32(const Tensor& a, const PackedWeights& w,
+                   const Tensor& bias, Tensor& out)
+{
+    packedKernel<Float32B>(a, w, bias, out);
+}
+
+bool
+hostHasAvx2()
+{
+    return __builtin_cpu_supports("avx2");
+}
+
+#else
+
+void
+matmulBiasPacked32(const Tensor&, const PackedWeights&, const Tensor&,
+                   Tensor&)
+{
+    drs_panic("the AVX2 kernel needs an x86 build");
+}
+
+bool
+hostHasAvx2()
+{
+    return false;
+}
+
+#endif
+
+void
+matmulBiasPacked(const Tensor& a, const PackedWeights& w, const Tensor& bias,
+                 Tensor& out)
+{
+    static const bool avx2 = hostHasAvx2();
+    if (avx2)
+        matmulBiasPacked32(a, w, bias, out);
+    else
+        matmulBiasPacked16(a, w, bias, out);
 }
 
 void

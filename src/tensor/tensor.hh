@@ -5,6 +5,9 @@
  * Recommendation inference needs only rank-1/2/3 dense tensors; this
  * keeps the type simple: contiguous row-major storage, value semantics,
  * and explicit shape checks that panic on misuse (internal invariants).
+ * Fully-connected weights are the one exception to row-major: they
+ * live as PackedWeights, the panel layout the FC kernel
+ * matmulBiasPacked streams.
  */
 
 #ifndef DRS_TENSOR_TENSOR_HH
@@ -93,14 +96,77 @@ class Tensor
 };
 
 /**
- * C = A * B^T + bias, the fully-connected primitive.
- *
- * A is [m, k] (batch of activations), B is [n, k] (weights stored one
- * output neuron per row, which makes the inner loop a dot product over
- * contiguous memory), bias is [n] and broadcast over rows.
+ * The weights of a fully-connected layer with n outputs and k inputs,
+ * stored only as column panels. Panel q holds outputs
+ * [16q, 16q + 16) as [k][16], so the 16 weights one input feeds are
+ * one contiguous 64-byte row and a whole panel is read front to back
+ * once per block of batch rows. The tail panel is zero-padded.
  */
-void matmulBiasTransB(const Tensor& a, const Tensor& b, const Tensor& bias,
-                      Tensor& out);
+class PackedWeights
+{
+  public:
+    /** Outputs per panel. */
+    static constexpr size_t kPanelWidth = 16;
+
+    /** No weights. */
+    PackedWeights() = default;
+
+    /** Zero-filled weights for @p n outputs over @p k inputs. */
+    PackedWeights(size_t n, size_t k);
+
+    /** Number of outputs (rows of the logical [n, k] matrix). */
+    size_t outDim() const { return n_; }
+
+    /** Number of inputs (columns of the logical [n, k] matrix). */
+    size_t inDim() const { return k_; }
+
+    /** Number of panels, ceil(n / 16). */
+    size_t numPanels() const { return (n_ + kPanelWidth - 1) / kPanelWidth; }
+
+    /** Logical elements n * k (the padding is not counted). */
+    size_t numel() const { return n_ * k_; }
+
+    /** Weight from input @p p to output @p j. */
+    float& at(size_t j, size_t p);
+    float at(size_t j, size_t p) const;
+
+    /** Start of panel @p q: k rows of kPanelWidth floats. */
+    const float* panel(size_t q) const;
+
+  private:
+    size_t n_ = 0;
+    size_t k_ = 0;
+    std::vector<float> data_;   ///< numPanels() x k x kPanelWidth
+};
+
+/**
+ * C = A * W^T + bias, the fully-connected primitive.
+ *
+ * A is [m, k] (a batch of activations), W is [n, k] packed into
+ * panels, bias is [n] and broadcast over rows; out becomes [m, n]
+ * and keeps its buffer when it already has that shape. The kernel
+ * walks panels in the outer loop and blocks of 4 rows of A in the
+ * inner loop, keeping each 4 x 16 block of sums in vector registers.
+ * Every output is bias + sum_p a[i][p] * w[j][p], added in order of
+ * p with a separate multiply and add (no FMA), so the result does
+ * not depend on the vector width that computed it.
+ */
+void matmulBiasPacked(const Tensor& a, const PackedWeights& w,
+                      const Tensor& bias, Tensor& out);
+
+/**
+ * The two instantiations matmulBiasPacked picks from: 16-byte
+ * vectors (every build) and 32-byte AVX2 vectors (x86 hosts that
+ * have AVX2; call matmulBiasPacked32 only when hostHasAvx2()). Their
+ * outputs are bitwise equal. Exposed so a test can compare them.
+ */
+void matmulBiasPacked16(const Tensor& a, const PackedWeights& w,
+                        const Tensor& bias, Tensor& out);
+void matmulBiasPacked32(const Tensor& a, const PackedWeights& w,
+                        const Tensor& bias, Tensor& out);
+
+/** True on an x86 host whose CPU runs AVX2. */
+bool hostHasAvx2();
 
 /** In-place ReLU. */
 void reluInPlace(Tensor& t);

@@ -3,7 +3,11 @@
  * Unit tests for embedding tables, pooled lookups, and groups.
  */
 
+#include <cstring>
 #include <gtest/gtest.h>
+#include <memory>
+#include <tuple>
+#include <vector>
 
 #include "nn/embedding.hh"
 
@@ -187,6 +191,150 @@ TEST(EmbeddingGroup, LogicalBytesSumsTables)
     Rng rng(16);
     EmbeddingGroup g(2, 1'000'000, 16, 1, Pooling::Sum, rng, 128);
     EXPECT_EQ(g.logicalBytes(), 2ull * 1'000'000 * 16 * sizeof(float));
+}
+
+/**
+ * The two-pass gather against a test-local copy of the per-row loop it
+ * replaced: one row at a time, the physical row by SplitMix64 hash and
+ * '%', pooled in index order. Outputs must be bitwise equal, which
+ * also pins the power-of-two mask to the '%' it stands in for.
+ */
+class GatherOracle : public ::testing::TestWithParam<
+                         std::tuple<uint64_t, uint64_t, size_t>>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const auto [logical, max_physical, dim] = GetParam();
+        Rng rng(31);
+        table = std::make_unique<EmbeddingTable>(logical, dim, rng,
+                                                 max_physical);
+        // Storage base: row 0's address less its reference offset.
+        base = table->rowFor(0) - referencePhysical(0) * dim;
+        // Ragged samples, an empty one included, and more lookups
+        // than the prefetch distance.
+        ragged.offsets.push_back(0);
+        for (size_t i = 0; i < 24; i++) {
+            const size_t lookups = (i * 7) % 31;
+            for (size_t j = 0; j < lookups; j++)
+                ragged.indices.push_back(rng() % logical);
+            ragged.offsets.push_back(ragged.indices.size());
+        }
+        uniform = SparseBatch::uniform(19, 9, logical, rng);
+    }
+
+    uint64_t
+    referencePhysical(uint64_t index) const
+    {
+        if (table->physicalRows() == table->logicalRows())
+            return index;
+        uint64_t x = index + 0x9e3779b97f4a7c15ULL;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        return (x ^ (x >> 31)) % table->physicalRows();
+    }
+
+    const float*
+    referenceRow(uint64_t index) const
+    {
+        return base + referencePhysical(index) * table->dim();
+    }
+
+    /** The per-row Sum/Mean loop. */
+    Tensor
+    referencePool(const SparseBatch& batch, Pooling pooling) const
+    {
+        const size_t dim = table->dim();
+        Tensor out = Tensor::mat(batch.batchSize(), dim);
+        for (size_t i = 0; i < batch.batchSize(); i++) {
+            float* dst = out.row(i);
+            const size_t begin = batch.offsets[i];
+            const size_t end = batch.offsets[i + 1];
+            for (size_t j = begin; j < end; j++) {
+                const float* src = referenceRow(batch.indices[j]);
+                for (size_t d = 0; d < dim; d++)
+                    dst[d] += src[d];
+            }
+            if (pooling == Pooling::Mean && end > begin) {
+                const float inv = 1.0f / static_cast<float>(end - begin);
+                for (size_t d = 0; d < dim; d++)
+                    dst[d] *= inv;
+            }
+        }
+        return out;
+    }
+
+    /** The per-row Concat / gatherSequence loop (same flat layout). */
+    std::vector<float>
+    referenceConcat(const SparseBatch& batch) const
+    {
+        std::vector<float> out;
+        for (uint64_t index : batch.indices) {
+            const float* src = referenceRow(index);
+            out.insert(out.end(), src, src + table->dim());
+        }
+        return out;
+    }
+
+    static bool
+    bitwiseEqual(const float* a, const float* b, size_t n)
+    {
+        return std::memcmp(a, b, n * sizeof(float)) == 0;
+    }
+
+    std::unique_ptr<EmbeddingTable> table;
+    const float* base = nullptr;
+    SparseBatch ragged;
+    SparseBatch uniform;
+};
+
+TEST_P(GatherOracle, SumAndMeanMatchPerRowLoop)
+{
+    for (Pooling pooling : {Pooling::Sum, Pooling::Mean}) {
+        for (const SparseBatch* batch : {&ragged, &uniform}) {
+            const Tensor got = table->bagForward(*batch, pooling);
+            const Tensor want = referencePool(*batch, pooling);
+            ASSERT_EQ(got.shape(), want.shape());
+            EXPECT_TRUE(bitwiseEqual(got.data(), want.data(), got.numel()));
+        }
+    }
+}
+
+TEST_P(GatherOracle, ConcatAndSequenceMatchPerRowLoop)
+{
+    const std::vector<float> want = referenceConcat(uniform);
+    const Tensor concat = table->bagForward(uniform, Pooling::Concat);
+    EXPECT_EQ(concat.shape(),
+              (std::vector<size_t>{19, 9 * table->dim()}));
+    ASSERT_EQ(concat.numel(), want.size());
+    EXPECT_TRUE(bitwiseEqual(concat.data(), want.data(), want.size()));
+    const Tensor seq = table->gatherSequence(uniform);
+    EXPECT_EQ(seq.shape(), (std::vector<size_t>{19, 9, table->dim()}));
+    ASSERT_EQ(seq.numel(), want.size());
+    EXPECT_TRUE(bitwiseEqual(seq.data(), want.data(), want.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PhysicalRows, GatherOracle,
+    ::testing::Values(
+        // Capped at a power of two: the mask path.
+        std::make_tuple(uint64_t{1'000'000}, uint64_t{1024}, size_t{32}),
+        // Capped at a non-power of two: the '%' path.
+        std::make_tuple(uint64_t{1'000'000}, uint64_t{1000}, size_t{32}),
+        // Uncapped: logical index is the physical row.
+        std::make_tuple(uint64_t{700}, uint64_t{1} << 20, size_t{12})));
+
+TEST(EmbeddingTableDeath, IndexPastLogicalRowsDies)
+{
+    Rng rng(32);
+    const EmbeddingTable t(1000, 8, rng, 256);
+    SparseBatch b;
+    b.indices = {3, 999, 1000};
+    b.offsets = {0, 2, 3};
+    EXPECT_DEATH(t.bagForward(b, Pooling::Sum), "out of range");
+    EXPECT_DEATH(t.gatherSequence(SparseBatch{{1000}, {0, 1}}),
+                 "out of range");
 }
 
 /** Pooling output stays finite across lookup-count sweeps. */

@@ -3,7 +3,10 @@
  * Unit tests for fully-connected layers and MLP stacks.
  */
 
+#include <cmath>
 #include <gtest/gtest.h>
+#include <tuple>
+#include <vector>
 
 #include "nn/mlp.hh"
 
@@ -28,6 +31,68 @@ TEST(FcLayer, FlopsAndParamBytes)
     EXPECT_EQ(layer.flopsPerSample(), 2ull * 10 * 20);
     EXPECT_EQ(layer.paramBytes(), (10 * 20 + 20) * sizeof(float));
 }
+
+TEST(FcLayer, PaddedPanelsKeepLogicalSizes)
+{
+    // 17 outputs take two 16-wide panels; the padding is not counted.
+    Rng rng(1);
+    FcLayer layer(33, 17, Activation::None, rng);
+    EXPECT_EQ(layer.inDim(), 33u);
+    EXPECT_EQ(layer.outDim(), 17u);
+    EXPECT_EQ(layer.flopsPerSample(), 2ull * 33 * 17);
+    EXPECT_EQ(layer.paramBytes(), (33 * 17 + 17) * sizeof(float));
+}
+
+/**
+ * The layer against a row-major reference drawn from the same seed in
+ * the same order (Xavier-uniform, zero bias), summed in input order.
+ * The kernel multiplies and adds separately in that same order, so the
+ * outputs are bitwise equal, not just close.
+ */
+class FcLayerReference
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t, Activation>>
+{
+};
+
+TEST_P(FcLayerReference, MatchesRowMajorReference)
+{
+    const auto [in, outs, act] = GetParam();
+    Rng layer_rng(21);
+    const FcLayer layer(in, outs, act, layer_rng);
+    Rng ref_rng(21);
+    const double bound = std::sqrt(6.0 / static_cast<double>(in + outs));
+    std::vector<float> w(outs * in);
+    for (float& v : w)
+        v = static_cast<float>(ref_rng.uniform(-bound, bound));
+
+    constexpr size_t batch = 6;
+    Rng x_rng(22);
+    Tensor x = Tensor::mat(batch, in);
+    for (size_t i = 0; i < x.numel(); i++)
+        x.at(i) = static_cast<float>(x_rng.uniform(-1.0, 1.0));
+    Tensor out;
+    layer.forward(x, out);
+    ASSERT_EQ(out.dim(0), batch);
+    ASSERT_EQ(out.dim(1), outs);
+    for (size_t i = 0; i < batch; i++) {
+        for (size_t j = 0; j < outs; j++) {
+            float ref = 0.0f;
+            for (size_t p = 0; p < in; p++)
+                ref += x.at(i, p) * w[j * in + p];
+            if (act == Activation::Relu)
+                ref = ref > 0.0f ? ref : 0.0f;
+            EXPECT_EQ(out.at(i, j), ref) << i << "," << j;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, FcLayerReference,
+    ::testing::Values(std::make_tuple(1, 1, Activation::None),
+                      std::make_tuple(8, 4, Activation::Relu),
+                      std::make_tuple(33, 17, Activation::None),
+                      std::make_tuple(64, 32, Activation::Relu),
+                      std::make_tuple(100, 50, Activation::None)));
 
 TEST(FcLayer, ReluOutputNonNegative)
 {

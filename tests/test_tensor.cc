@@ -4,7 +4,9 @@
  */
 
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
+#include <tuple>
 
 #include "tensor/tensor.hh"
 
@@ -68,7 +70,18 @@ TEST(Tensor, ReshapeKeepsData)
     EXPECT_FLOAT_EQ(t.at(2, 1), 6.0f);
 }
 
-TEST(MatmulBiasTransB, KnownValues)
+/** Pack a row-major [n, k] weight matrix (one output per row). */
+PackedWeights
+packRows(const Tensor& rows)
+{
+    PackedWeights w(rows.dim(0), rows.dim(1));
+    for (size_t j = 0; j < rows.dim(0); j++)
+        for (size_t p = 0; p < rows.dim(1); p++)
+            w.at(j, p) = rows.at(j, p);
+    return w;
+}
+
+TEST(MatmulBiasPacked, KnownValues)
 {
     // a = [1 2; 3 4], b (stored row-per-output) = [1 1; 2 0],
     // bias = [10, 20].
@@ -76,7 +89,7 @@ TEST(MatmulBiasTransB, KnownValues)
     Tensor b({2, 2}, {1, 1, 2, 0});
     Tensor bias({2}, {10, 20});
     Tensor out;
-    matmulBiasTransB(a, b, bias, out);
+    matmulBiasPacked(a, packRows(b), bias, out);
     // Row 0: [1+2+10, 2+0+20] = [13, 22]
     // Row 1: [3+4+10, 6+0+20] = [17, 26]
     EXPECT_FLOAT_EQ(out.at(0, 0), 13.0f);
@@ -85,29 +98,130 @@ TEST(MatmulBiasTransB, KnownValues)
     EXPECT_FLOAT_EQ(out.at(1, 1), 26.0f);
 }
 
-TEST(MatmulBiasTransB, IdentityPassThrough)
+TEST(MatmulBiasPacked, IdentityPassThrough)
 {
     Tensor a({1, 3}, {2, -1, 5});
     Tensor identity({3, 3}, {1, 0, 0, 0, 1, 0, 0, 0, 1});
     Tensor bias({3}, {0, 0, 0});
     Tensor out;
-    matmulBiasTransB(a, identity, bias, out);
+    matmulBiasPacked(a, packRows(identity), bias, out);
     EXPECT_FLOAT_EQ(out.at(0, 0), 2.0f);
     EXPECT_FLOAT_EQ(out.at(0, 1), -1.0f);
     EXPECT_FLOAT_EQ(out.at(0, 2), 5.0f);
 }
 
-TEST(MatmulBiasTransB, ReusesOutputBuffer)
+TEST(MatmulBiasPacked, ReusesOutputBuffer)
 {
     Tensor a({4, 8});
-    Tensor b({3, 8});
+    const PackedWeights b(3, 8);
     Tensor bias({3});
     Tensor out;
-    matmulBiasTransB(a, b, bias, out);
+    matmulBiasPacked(a, b, bias, out);
     const float* ptr = out.data();
-    matmulBiasTransB(a, b, bias, out);
+    matmulBiasPacked(a, b, bias, out);
     EXPECT_EQ(out.data(), ptr);   // no reallocation on same shape
 }
+
+TEST(PackedWeights, PanelLayoutAndZeroPaddedTail)
+{
+    // 17 outputs over 3 inputs: a full panel and a tail panel with
+    // one live column.
+    PackedWeights w(17, 3);
+    EXPECT_EQ(w.numPanels(), 2u);
+    EXPECT_EQ(w.numel(), 17u * 3u);
+    for (size_t j = 0; j < 17; j++)
+        for (size_t p = 0; p < 3; p++)
+            w.at(j, p) = static_cast<float>(100 * j + p + 1);
+    // Panel q holds [k][16]: input p's weights for outputs 16q.. are
+    // one contiguous row.
+    EXPECT_EQ(w.panel(0)[2 * 16 + 5], w.at(5, 2));
+    EXPECT_EQ(w.panel(1)[1 * 16 + 0], w.at(16, 1));
+    for (size_t p = 0; p < 3; p++)
+        for (size_t c = 1; c < 16; c++)
+            EXPECT_EQ(w.panel(1)[p * 16 + c], 0.0f);
+}
+
+/** Deterministic values in [-1, 1) that are not small integers. */
+float
+oracleValue(size_t i, size_t salt)
+{
+    const uint64_t x = (i + 1) * 0x9e3779b97f4a7c15ULL ^ (salt << 32);
+    return static_cast<float>(static_cast<double>(x >> 40) /
+                              static_cast<double>(1ull << 23) - 1.0);
+}
+
+/** The kernel against a double-precision naive oracle. */
+class PackedOracle
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t, size_t>>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        std::tie(m, n, k) = GetParam();
+        a = Tensor::mat(m, k);
+        w = PackedWeights(n, k);
+        bias = Tensor::vec(n);
+        for (size_t i = 0; i < a.numel(); i++)
+            a.at(i) = oracleValue(i, 1);
+        for (size_t j = 0; j < n; j++)
+            for (size_t p = 0; p < k; p++)
+                w.at(j, p) = oracleValue(j * k + p, 2);
+        for (size_t j = 0; j < n; j++)
+            bias.at(j) = oracleValue(j, 3);
+    }
+
+    size_t m = 0;
+    size_t n = 0;
+    size_t k = 0;
+    Tensor a;
+    PackedWeights w;
+    Tensor bias;
+};
+
+TEST_P(PackedOracle, AgreesWithDoubleReference)
+{
+    Tensor out;
+    matmulBiasPacked(a, w, bias, out);
+    ASSERT_EQ(out.dim(0), m);
+    ASSERT_EQ(out.dim(1), n);
+    for (size_t i = 0; i < m; i++) {
+        for (size_t j = 0; j < n; j++) {
+            double ref = bias.at(j);
+            double mag = std::fabs(ref);
+            for (size_t p = 0; p < k; p++) {
+                const double term = static_cast<double>(a.at(i, p)) *
+                    static_cast<double>(w.at(j, p));
+                ref += term;
+                mag += std::fabs(term);
+            }
+            // k rounded products summed in order in float32 err by at
+            // most about (k + 2) * 2^-24 times the sum of magnitudes.
+            EXPECT_NEAR(out.at(i, j), ref, 1.2e-7 * (k + 2) * mag)
+                << i << "," << j;
+        }
+    }
+}
+
+TEST_P(PackedOracle, WidthsAreBitwiseEqual)
+{
+    if (!hostHasAvx2())
+        GTEST_SKIP() << "host has no AVX2";
+    Tensor narrow;
+    Tensor wide;
+    matmulBiasPacked16(a, w, bias, narrow);
+    matmulBiasPacked32(a, w, bias, wide);
+    ASSERT_EQ(narrow.numel(), wide.numel());
+    EXPECT_EQ(std::memcmp(narrow.data(), wide.data(),
+                          narrow.numel() * sizeof(float)),
+              0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PackedOracle,
+    ::testing::Combine(::testing::Values<size_t>(1, 2, 3, 4, 5, 17, 64),
+                       ::testing::Values<size_t>(1, 15, 16, 17, 512),
+                       ::testing::Values<size_t>(1, 7, 1056)));
 
 TEST(Activations, ReluClampsNegatives)
 {
@@ -229,7 +343,7 @@ TEST_P(MatmulShapes, AgreesWithReference)
         bias.at(i) = static_cast<float>(i);
 
     Tensor out;
-    matmulBiasTransB(a, b, bias, out);
+    matmulBiasPacked(a, packRows(b), bias, out);
 
     for (int i = 0; i < m; i++) {
         for (int j = 0; j < n; j++) {
