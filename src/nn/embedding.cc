@@ -22,10 +22,16 @@ hashIndex(uint64_t x)
  */
 constexpr size_t kPrefetchDistance = 16;
 
-/** Prefetch every 64-byte line of a row (two for a 32-float row). */
+/**
+ * Prefetch every 64-byte line (two for a 32-float row) of the row
+ * kPrefetchDistance lookups past @p j, if there is one.
+ */
 void
-prefetchRow(const float* row, size_t dim)
+prefetchAhead(const std::vector<const float*>& rows, size_t j, size_t dim)
 {
+    if (j + kPrefetchDistance >= rows.size())
+        return;
+    const float* row = rows[j + kPrefetchDistance];
     for (size_t d = 0; d < dim; d += 64 / sizeof(float))
         __builtin_prefetch(row + d);
 }
@@ -35,8 +41,7 @@ void
 copyRows(const std::vector<const float*>& rows, size_t dim, float* dst)
 {
     for (size_t j = 0; j < rows.size(); j++) {
-        if (j + kPrefetchDistance < rows.size())
-            prefetchRow(rows[j + kPrefetchDistance], dim);
+        prefetchAhead(rows, j, dim);
         dst = std::copy(rows[j], rows[j] + dim, dst);
     }
 }
@@ -122,8 +127,7 @@ EmbeddingTable::bagForward(const SparseBatch& batch, Pooling pooling,
         const size_t begin = batch.offsets[i];
         const size_t end = batch.offsets[i + 1];
         for (size_t j = begin; j < end; j++) {
-            if (j + kPrefetchDistance < rows.size())
-                prefetchRow(rows[j + kPrefetchDistance], dim_);
+            prefetchAhead(rows, j, dim_);
             const float* src = rows[j];
             for (size_t d = 0; d < dim_; d++)
                 dst[d] += src[d];

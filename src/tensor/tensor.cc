@@ -115,15 +115,20 @@ PackedWeights::PackedWeights(size_t n, size_t k)
 float&
 PackedWeights::at(size_t j, size_t p)
 {
-    drs_assert(j < n_ && p < k_, "weight index out of range");
-    return data_[(j / kPanelWidth * k_ + p) * kPanelWidth + j % kPanelWidth];
+    return data_[index(j, p)];
 }
 
 float
 PackedWeights::at(size_t j, size_t p) const
 {
+    return data_[index(j, p)];
+}
+
+size_t
+PackedWeights::index(size_t j, size_t p) const
+{
     drs_assert(j < n_ && p < k_, "weight index out of range");
-    return data_[(j / kPanelWidth * k_ + p) * kPanelWidth + j % kPanelWidth];
+    return (j / kPanelWidth * k_ + p) * kPanelWidth + j % kPanelWidth;
 }
 
 const float*

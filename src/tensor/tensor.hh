@@ -134,6 +134,9 @@ class PackedWeights
     const float* panel(size_t q) const;
 
   private:
+    /** Offset of weight (j, p) in data_, range-checked. */
+    size_t index(size_t j, size_t p) const;
+
     size_t n_ = 0;
     size_t k_ = 0;
     std::vector<float> data_;   ///< numPanels() x k x kPanelWidth
